@@ -429,7 +429,7 @@ impl AllocEngine {
     /// path's links and returns the allocation. Fails with
     /// [`AllocError::Disconnected`] when no candidate path survives
     /// between the flow's endpoints (possible under link/switch faults).
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch at Scheduler::commit or Controller::commit before exposing it)
+    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch in taps_core::admission before it is committed)
     pub fn allocate_flow(
         &mut self,
         topo: &Topology,
@@ -706,7 +706,7 @@ impl AllocEngine {
     /// task and retrying — occupancy is rebuilt from scratch per attempt,
     /// so the partial commit is harmless as long as the caller resets or
     /// re-runs).
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch at Scheduler::commit or Controller::commit before exposing it)
+    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch in taps_core::admission before it is committed)
     pub fn allocate_batch(
         &mut self,
         topo: &Topology,
@@ -803,7 +803,7 @@ impl<'t> SlotAllocator<'t> {
     /// path, keeps the earliest-completing one, commits its slices to the
     /// path's links and returns the allocation. Fails with
     /// [`AllocError::Disconnected`] when no path survives.
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch at Scheduler::commit or Controller::commit before exposing it)
+    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch in taps_core::admission before it is committed)
     pub fn allocate_flow(
         &mut self,
         demand: &FlowDemand,
@@ -816,7 +816,7 @@ impl<'t> SlotAllocator<'t> {
     /// outer loop): flows are placed one after another, each seeing the
     /// occupancy committed by its predecessors. The first disconnected
     /// flow aborts the batch.
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch at Scheduler::commit or Controller::commit before exposing it)
+    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch in taps_core::admission before it is committed)
     pub fn allocate_batch(
         &mut self,
         demands: &[FlowDemand],
@@ -834,7 +834,7 @@ impl<'t> SlotAllocator<'t> {
 
     /// [`AllocEngine::allocate_batch_delta`] through the façade:
     /// [`allocate_batch`](Self::allocate_batch) with cross-pass reuse.
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch at Scheduler::commit or Controller::commit before exposing it)
+    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch in taps_core::admission before it is committed)
     pub fn allocate_batch_delta(
         &mut self,
         demands: &[FlowDemand],

@@ -251,7 +251,7 @@ impl AllocEngine {
     /// the legacy loop exists as the unoptimized baseline.
     ///
     /// [`allocate_batch`]: Self::allocate_batch
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch at Scheduler::commit or Controller::commit before exposing it)
+    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch in taps_core::admission before it is committed)
     pub fn allocate_batch_delta(
         &mut self,
         topo: &Topology,

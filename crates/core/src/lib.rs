@@ -9,7 +9,9 @@
 //! path that completes it earliest (Alg. 2, [`alloc::SlotAllocator`]), with
 //! slice placement by first-fit over the union of the path's occupancy
 //! sets (Alg. 3, `taps-timeline`). A **reject rule** then admits the task,
-//! rejects it, or *discards* (preempts) a worse-off in-flight task.
+//! rejects it, or *discards* (preempts) a worse-off in-flight task. That
+//! admission step is written once, in [`admission`]; the simulator
+//! scheduler and the SDN controller are adapters over it.
 //!
 //! Accepted flows get pre-allocated transmission time slices and explicit
 //! routes; senders transmit at full line rate exactly during their slices
@@ -22,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admission;
 pub mod alloc;
 pub mod analysis;
 pub mod delta;
@@ -32,6 +35,7 @@ mod scheduler;
 pub mod shard;
 pub mod validate;
 
+pub use admission::{Admission, DropReason, FlowView, RejectDecision, RejectPolicy};
 pub use alloc::{
     AllocCounters, AllocEngine, AllocError, AllocMode, FlowAlloc, FlowDemand, SlotAllocator,
     DEFAULT_PARALLEL_THRESHOLD,
@@ -39,6 +43,6 @@ pub use alloc::{
 pub use analysis::{analyze, gantt_for_link, ScheduleAnalysis};
 pub use delta::{DeltaCache, DeltaStats};
 pub use oracle::SingleLinkOracle;
-pub use scheduler::{RejectDecision, RejectPolicy, Taps, TapsConfig};
+pub use scheduler::{Taps, TapsConfig};
 pub use shard::ShardedAllocator;
 pub use validate::{Violation, ViolationReport};

@@ -1,7 +1,7 @@
 //! Fault injection & controller recovery, end to end: TAPS driven by the
 //! flowsim engine under deterministic link/switch fault plans.
 //!
-//! Every `Taps::commit` in these debug-build runs is checked against the
+//! Every commit in these debug-build runs is checked against the
 //! schedule invariants (`validate` feature), so each test doubles as an
 //! assertion that every post-recovery schedule is validator-clean.
 

@@ -8,7 +8,9 @@ use crate::obs::obs_event;
 use crate::obs::obs_id;
 use crate::switch::{FlowEntry, FlowTable, TableError};
 use std::collections::BTreeMap;
-use taps_core::{AllocEngine, AllocError, DeltaCache, FlowAlloc, FlowDemand, RejectPolicy};
+use taps_core::{
+    Admission, DropReason, FlowAlloc, FlowDemand, FlowView, RejectDecision, RejectPolicy,
+};
 use taps_topology::Topology;
 
 /// Controller configuration.
@@ -73,6 +75,18 @@ pub enum TaskVerdict {
     Rejected,
 }
 
+impl From<RejectDecision> for TaskVerdict {
+    fn from(d: RejectDecision) -> Self {
+        match d {
+            RejectDecision::Accept => TaskVerdict::Accepted,
+            RejectDecision::AcceptWithPreemption(victim) => {
+                TaskVerdict::AcceptedWithPreemption(victim)
+            }
+            RejectDecision::Reject => TaskVerdict::Rejected,
+        }
+    }
+}
+
 /// Control-plane counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ControlStats {
@@ -105,18 +119,8 @@ pub struct ControlStats {
     pub resyncs: usize,
 }
 
-#[derive(Clone, Debug)]
-struct FlowReg {
-    task: usize,
-    src: usize,
-    dst: usize,
-    size: f64,
-    delivered: f64,
-    deadline: f64,
-    done: bool,
-}
-
-/// One registered flow inside a [`ControllerCheckpoint`].
+/// One registered flow: the controller's registry entry, and the unit of
+/// a [`ControllerCheckpoint`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct CheckpointFlow {
     /// Flow id.
@@ -136,6 +140,22 @@ pub struct CheckpointFlow {
     pub deadline: f64,
     /// Whether the flow was finished/preempted at checkpoint time.
     pub done: bool,
+}
+
+impl CheckpointFlow {
+    /// A live registry entry for a probed flow, `delivered` bytes in.
+    fn probed(p: &ProbeHeader, delivered: f64) -> Self {
+        CheckpointFlow {
+            flow: p.flow,
+            task: p.task,
+            src: p.src,
+            dst: p.dst,
+            size: p.size,
+            delivered,
+            deadline: p.deadline,
+            done: false,
+        }
+    }
 }
 
 /// Serialized controller state: everything a standby needs to take over
@@ -161,19 +181,13 @@ pub struct ControllerCheckpoint {
 pub struct Controller<'t> {
     topo: &'t Topology,
     cfg: ControllerConfig,
-    /// Persistent Alg. 2/3 engine: occupancy buffers and the candidate-
-    /// path cache survive across probes instead of being rebuilt per
-    /// arrival (the controller handles every task arrival in the paper).
-    engine: AllocEngine,
-    /// Cross-probe delta-reallocation cache: flows undisturbed since the
-    /// previous allocation pass are translated instead of re-searched
-    /// (bit-identical results — see `taps_core::delta`).
-    delta: DeltaCache,
-    /// Reusable demand buffer for [`Controller::allocate_ftmp`].
-    demands: Vec<FlowDemand>,
-    /// Ordered maps: `commit()` and `ftmp` iterate them, and control-
+    /// The admission core (Alg. 1–3): its engine, occupancy buffers and
+    /// candidate-path cache persist across probes (the controller
+    /// handles every task arrival in the paper).
+    adm: Admission,
+    /// Ordered maps: `commit()` and F_tmp iterate them, and control-
     /// plane command order must be deterministic (lint rule L1).
-    registry: BTreeMap<usize, FlowReg>,
+    registry: BTreeMap<usize, CheckpointFlow>,
     /// Committed schedule per flow.
     schedule: BTreeMap<usize, FlowAlloc>,
     tables: Vec<FlowTable>,
@@ -199,14 +213,16 @@ impl<'t> Controller<'t> {
         let tables = (0..topo.num_nodes())
             .map(|_| FlowTable::new(cfg.table_capacity, cfg.table_budget))
             .collect();
-        let mut engine = AllocEngine::new(cfg.slot, cfg.max_candidate_paths);
-        engine.ensure_topology(topo);
+        let adm = Admission::new(
+            cfg.slot,
+            cfg.max_candidate_paths,
+            cfg.policy,
+            cfg.force_validate,
+        );
         Controller {
             topo,
             cfg,
-            engine,
-            delta: DeltaCache::new(),
-            demands: Vec::new(),
+            adm,
             registry: BTreeMap::new(),
             schedule: BTreeMap::new(),
             tables,
@@ -222,6 +238,7 @@ impl<'t> Controller<'t> {
     /// Routes this controller's decision/commit/table events to `sink`.
     #[cfg(feature = "obs")]
     pub fn set_trace_sink(&mut self, sink: std::sync::Arc<dyn taps_obs::TraceSink>) {
+        self.adm.set_trace_sink(sink.clone());
         self.trace = crate::obs::TraceHandle(Some(sink));
     }
 
@@ -288,165 +305,59 @@ impl<'t> Controller<'t> {
         if let Some(v) = self.decided.get(&task) {
             self.stats.duplicate_probes += 1;
             let verdict = v.clone();
-            let grants: Vec<FlowGrant> = if matches!(verdict, TaskVerdict::Rejected) {
-                Vec::new()
-            } else {
-                probes
-                    .iter()
-                    .filter_map(|p| self.grant_of(p.flow))
-                    .collect()
-            };
+            let grants = self.task_grants(&verdict, probes);
             return (verdict, grants, Vec::new());
         }
 
-        // Register the newcomer's flows.
         for p in probes {
-            self.registry.insert(
-                p.flow,
-                FlowReg {
-                    task,
-                    src: p.src,
-                    dst: p.dst,
-                    size: p.size,
-                    delivered: 0.0,
-                    deadline: p.deadline,
-                    done: false,
-                },
-            );
+            self.registry.insert(p.flow, CheckpointFlow::probed(p, 0.0));
         }
-
-        // Nothing can be (re)scheduled before the control round trip
-        // completes: servers only learn their slices then. The grant
-        // fence additionally keeps new slices clear of any lease issued
-        // under an older stamp (DESIGN.md §10).
-        let start_slot = self
-            .engine
-            .slot_at(now + self.cfg.control_rtt + self.cfg.grant_fence);
-
-        // Counter bookkeeping is gated on an attached sink: without one
-        // the counters are never read, so the hot path skips both calls.
-        #[cfg(feature = "obs")]
-        if self.trace.0.is_some() {
-            let _ = self.engine.take_counters();
-        }
-        let (tentative, newcomer_dead) = self.allocate_degrading(start_slot, Some(task));
-        #[cfg(feature = "obs")]
-        if self.trace.0.is_some() {
-            let c = self.engine.take_counters();
-            obs_event!(
-                &self.trace,
-                now,
-                AllocAttempt {
-                    task: obs_id(task),
-                    paths_tried: c.paths_tried,
-                    slots_scanned: c.slots_scanned
-                }
-            );
-        }
-
-        // Reject rule. A newcomer whose endpoints are disconnected (a
-        // link fault severed every candidate path) is rejected outright,
-        // whatever the policy — there is nothing to allocate.
-        let mut missing_tasks: Vec<usize> = Vec::new();
-        for al in &tentative {
-            if !al.on_time {
-                let t = self.registry[&al.id].task;
-                if !missing_tasks.contains(&t) {
-                    missing_tasks.push(t);
-                }
+        let start_slot = self.start_slot(now, 0.0);
+        let newcomer = [task];
+        let mut view = RegistryView::new(&mut self.registry, &mut self.stats, now, &newcomer);
+        let (decision, allocs) = self.adm.admit(&mut view, self.topo, now, task, start_slot);
+        let verdict = TaskVerdict::from(decision);
+        if verdict == TaskVerdict::Rejected {
+            for p in probes {
+                self.registry.remove(&p.flow);
             }
         }
-        let verdict = if newcomer_dead {
-            TaskVerdict::Rejected
-        } else if self.cfg.policy == RejectPolicy::AlwaysAdmit {
-            TaskVerdict::Accepted
-        } else {
-            match missing_tasks.len() {
-                0 => TaskVerdict::Accepted,
-                1 if missing_tasks[0] != task && self.cfg.policy == RejectPolicy::Paper => {
-                    TaskVerdict::AcceptedWithPreemption(missing_tasks[0])
-                }
-                _ => TaskVerdict::Rejected,
-            }
-        };
-
-        let committed = match &verdict {
-            TaskVerdict::Accepted => {
-                obs_event!(&self.trace, now, Admit { task: obs_id(task) });
-                tentative
-            }
-            TaskVerdict::AcceptedWithPreemption(victim) => {
-                self.stats.preempted_tasks += 1;
-                obs_event!(
-                    &self.trace,
-                    now,
-                    Preempt {
-                        task: obs_id(task),
-                        victim: obs_id(*victim)
-                    }
-                );
-                obs_event!(&self.trace, now, Admit { task: obs_id(task) });
-                for r in self.registry.values_mut() {
-                    if r.task == *victim {
-                        r.done = true;
-                    }
-                }
-                self.allocate_degrading(start_slot, None).0
-            }
-            TaskVerdict::Rejected => {
-                self.stats.rejected_tasks += 1;
-                #[cfg(feature = "obs")]
-                {
-                    let reason = if newcomer_dead {
-                        taps_obs::reason::DISCONNECTED
-                    } else if self.cfg.policy == RejectPolicy::NeverPreempt {
-                        taps_obs::reason::WOULD_PREEMPT
-                    } else {
-                        taps_obs::reason::INFEASIBLE
-                    };
-                    obs_event!(
-                        &self.trace,
-                        now,
-                        Reject {
-                            task: obs_id(task),
-                            reason
-                        }
-                    );
-                }
-                for p in probes {
-                    self.registry.remove(&p.flow);
-                }
-                self.allocate_degrading(start_slot, None).0
-            }
-        };
-
-        let cmds = self.commit(now, committed);
+        let cmds = self.commit(now, allocs);
         self.decided.insert(task, verdict.clone());
-        let grants: Vec<FlowGrant> = if matches!(verdict, TaskVerdict::Rejected) {
-            Vec::new()
-        } else {
-            probes
-                .iter()
-                .filter_map(|p| self.grant_of(p.flow))
-                .collect()
-        };
+        let grants = self.task_grants(&verdict, probes);
         self.stats.grants += grants.len();
         (verdict, grants, cmds)
     }
 
+    /// The current grants of a decided task's flows (none if rejected).
+    fn task_grants(&self, verdict: &TaskVerdict, probes: &[ProbeHeader]) -> Vec<FlowGrant> {
+        if *verdict == TaskVerdict::Rejected {
+            return Vec::new();
+        }
+        probes
+            .iter()
+            .filter_map(|p| self.grant_of(p.flow))
+            .collect()
+    }
+
+    /// First slot a (re-)allocation may use: nothing can be (re)scheduled
+    /// before `delay` (e.g. fault detection) plus the control round trip
+    /// completes, since servers only learn their slices then. The grant
+    /// fence additionally keeps new slices clear of any lease issued
+    /// under an older stamp (DESIGN.md §10).
+    fn start_slot(&self, now: f64, delay: f64) -> u64 {
+        self.adm
+            .slot_at(now + delay + self.cfg.control_rtt + self.cfg.grant_fence)
+    }
+
     /// Handles a whole burst of task probes arriving in the same control
     /// window (e.g. one Poisson arrival batch) with **one** re-allocation
-    /// pass and one commit when the entire burst fits on time.
-    ///
-    /// Exact by first-fit monotonicity: removing flows from a pass only
-    /// frees capacity, so if the pass over incumbents plus the whole
-    /// burst is all on-time, every sequential prefix pass is all on-time
-    /// too — each per-task [`Controller::handle_probe`] would return
-    /// `Accepted`, and its final pass equals the burst pass. Any miss or
-    /// disconnection voids that argument, so the burst is replayed
-    /// through `handle_probe` task by task, in input order. Either way
+    /// pass and one commit when the entire burst fits on time
+    /// ([`Admission::admit_burst`]). Otherwise the burst is replayed
+    /// through [`Controller::handle_probe`] task by task, in input order.
+    /// Wherever first-fit is monotone (always on single-path topologies)
     /// verdicts, grants, the committed schedule, and the final switch
-    /// tables are identical to sequential handling; only the command
+    /// tables are then identical to sequential handling; only the command
     /// *diff* granularity differs (one commit instead of one per task).
     ///
     /// Each inner slice is one task's probes; fresh task ids must be
@@ -472,8 +383,7 @@ impl<'t> Controller<'t> {
                 let mut results = Vec::with_capacity(tasks.len());
                 for (i, group) in tasks.iter().enumerate() {
                     if fresh.contains(&i) {
-                        let grants: Vec<FlowGrant> =
-                            group.iter().filter_map(|p| self.grant_of(p.flow)).collect();
+                        let grants = self.task_grants(&TaskVerdict::Accepted, group);
                         self.stats.grants += grants.len();
                         results.push((TaskVerdict::Accepted, grants));
                     } else {
@@ -496,8 +406,8 @@ impl<'t> Controller<'t> {
         (results, cmds)
     }
 
-    /// The burst fast path: registers every fresh task, runs one
-    /// allocation pass, and commits iff everything lands on time.
+    /// The burst fast path ([`Admission::admit_burst`]): registers every
+    /// fresh task and commits iff the one pass lands everything on time.
     /// Returns `None` — with the registrations rolled back and no other
     /// state touched — when the burst must be replayed sequentially.
     fn admit_burst_fast(
@@ -506,139 +416,40 @@ impl<'t> Controller<'t> {
         tasks: &[Vec<ProbeHeader>],
         fresh: &[usize],
     ) -> Option<Vec<SwitchCmd>> {
+        let ids: Vec<usize> = fresh.iter().map(|&i| tasks[i][0].task).collect();
         for (n, &i) in fresh.iter().enumerate() {
-            let task = tasks[i][0].task;
             assert!(
-                tasks[i].iter().all(|p| p.task == task),
+                tasks[i].iter().all(|p| p.task == ids[n]),
                 "one task per probe group"
             );
             assert!(
-                fresh[..n].iter().all(|&j| tasks[j][0].task != task),
+                !ids[..n].contains(&ids[n]),
                 "burst task ids must be distinct"
             );
             for p in &tasks[i] {
-                self.registry.insert(
-                    p.flow,
-                    FlowReg {
-                        task,
-                        src: p.src,
-                        dst: p.dst,
-                        size: p.size,
-                        delivered: 0.0,
-                        deadline: p.deadline,
-                        done: false,
-                    },
-                );
+                self.registry.insert(p.flow, CheckpointFlow::probed(p, 0.0));
             }
         }
-        let start_slot = self
-            .engine
-            .slot_at(now + self.cfg.control_rtt + self.cfg.grant_fence);
-        let ids = self.ftmp_ids();
-        match self.allocate_ftmp(&ids, start_slot) {
-            Ok(allocs) if allocs.iter().all(|al| al.on_time) => {
-                self.stats.probes += fresh.len();
-                for &i in fresh {
-                    let task = tasks[i][0].task;
-                    obs_event!(&self.trace, now, Admit { task: obs_id(task) });
-                    self.decided.insert(task, TaskVerdict::Accepted);
+        let start_slot = self.start_slot(now, 0.0);
+        let mut view = RegistryView::new(&mut self.registry, &mut self.stats, now, &ids);
+        let Some(allocs) = self
+            .adm
+            .admit_burst(&mut view, self.topo, now, &ids, start_slot)
+        else {
+            // Roll back so the sequential replay observes the pre-burst
+            // registry.
+            for &i in fresh {
+                for p in &tasks[i] {
+                    self.registry.remove(&p.flow);
                 }
-                Some(self.commit(now, allocs))
             }
-            _ => {
-                // Roll back so the sequential replay observes the
-                // pre-burst registry. The tentative pass committed
-                // nothing; the delta cache's contents may differ from a
-                // never-tried burst, but delta passes are bit-identical
-                // to full passes regardless of cache state.
-                for &i in fresh {
-                    for p in &tasks[i] {
-                        self.registry.remove(&p.flow);
-                    }
-                }
-                None
-            }
+            return None;
+        };
+        self.stats.probes += fresh.len();
+        for task in ids {
+            self.decided.insert(task, TaskVerdict::Accepted);
         }
-    }
-
-    /// F_tmp: all unfinished registered flows, EDF/SJF order
-    /// (`total_cmp`: a NaN deadline or size cannot panic the sort).
-    fn ftmp_ids(&self) -> Vec<usize> {
-        let reg = &self.registry;
-        let mut ids: Vec<usize> = reg
-            .iter()
-            .filter(|(_, r)| !r.done)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_by(|&a, &b| {
-            let ra = &reg[&a];
-            let rb = &reg[&b];
-            ra.deadline
-                .total_cmp(&rb.deadline)
-                .then_with(|| (ra.size - ra.delivered).total_cmp(&(rb.size - rb.delivered)))
-                .then_with(|| a.cmp(&b))
-        });
-        ids
-    }
-
-    /// One tentative Alg. 2/3 run over the given flows from a clean
-    /// occupancy state.
-    fn allocate_ftmp(
-        &mut self,
-        ids: &[usize],
-        start_slot: u64,
-    ) -> Result<Vec<FlowAlloc>, AllocError> {
-        let registry = &self.registry;
-        self.demands.clear();
-        self.demands.extend(ids.iter().map(|&id| {
-            let r = &registry[&id];
-            FlowDemand {
-                id,
-                src: r.src,
-                dst: r.dst,
-                remaining: (r.size - r.delivered).max(1.0),
-                deadline: r.deadline,
-            }
-        }));
-        // Delta re-allocation: resets occupancy itself and translates
-        // flows undisturbed since the previous pass — bit-identical to a
-        // full `allocate_batch` (cross-checked in debug builds).
-        self.engine
-            .allocate_batch_delta(self.topo, &self.demands, start_slot, &mut self.delta)
-    }
-
-    /// Allocates F_tmp, degrading per task on disconnection: when a flow
-    /// has no surviving path, its whole task is given up (the newcomer is
-    /// flagged for rejection; an in-flight task counts as failed) and the
-    /// allocation is retried without it, rather than failing globally.
-    /// Returns the first complete allocation and whether the newcomer
-    /// was given up.
-    fn allocate_degrading(
-        &mut self,
-        start_slot: u64,
-        newcomer: Option<usize>,
-    ) -> (Vec<FlowAlloc>, bool) {
-        let mut newcomer_dead = false;
-        // lint: l5-ok(each iteration gives up one disconnected task, so at most one pass per registered task)
-        loop {
-            let ids = self.ftmp_ids();
-            match self.allocate_ftmp(&ids, start_slot) {
-                Ok(allocs) => return (allocs, newcomer_dead),
-                Err(AllocError::Disconnected { flow }) => {
-                    let t = self.registry[&flow].task;
-                    if newcomer == Some(t) {
-                        newcomer_dead = true;
-                    } else {
-                        self.stats.failed_tasks += 1;
-                    }
-                    for r in self.registry.values_mut() {
-                        if r.task == t {
-                            r.done = true;
-                        }
-                    }
-                }
-            }
-        }
+        Some(self.commit(now, allocs))
     }
 
     /// Handles a link fault notification: applies the state change to the
@@ -683,14 +494,8 @@ impl<'t> Controller<'t> {
                 self.topo.restore_link(link);
             }
         }
-        // Absorb the fault epoch into the delta cache before re-packing:
-        // recovery then re-searches only the flows whose candidate lists
-        // the fault touched and translates the rest, instead of paying a
-        // full-pass fallback for every fault.
-        self.engine.absorb_fault_epoch(self.topo, &mut self.delta);
-        let start_slot = self
-            .engine
-            .slot_at(now + self.cfg.recovery_latency + self.cfg.control_rtt + self.cfg.grant_fence);
+        self.adm.absorb_fault_epoch(self.topo);
+        let start_slot = self.start_slot(now, self.cfg.recovery_latency);
         self.repack(now, start_slot)
     }
 
@@ -699,52 +504,24 @@ impl<'t> Controller<'t> {
     /// controller has absorbed the servers' resync reports. Returns the
     /// re-issued grants and the switch-command diff.
     pub fn reallocate_all(&mut self, now: f64) -> (Vec<FlowGrant>, Vec<SwitchCmd>) {
-        let start_slot = self
-            .engine
-            .slot_at(now + self.cfg.control_rtt + self.cfg.grant_fence);
+        let start_slot = self.start_slot(now, 0.0);
         self.repack(now, start_slot)
     }
 
-    /// The repack loop shared by fault recovery and failover: allocate
-    /// all in-flight flows, preempting tasks that can no longer meet
-    /// their deadline (paper reject rule degraded to per-task
-    /// preemption) until the remainder fits, then commit.
+    /// The re-pack shared by fault recovery and failover
+    /// ([`Admission::repack`]), then the commit and a re-grant of every
+    /// surviving flow.
     fn repack(&mut self, now: f64, start_slot: u64) -> (Vec<FlowGrant>, Vec<SwitchCmd>) {
-        // lint: l5-ok(each iteration preempts at least one doomed task; terminates once the remainder fits)
-        loop {
-            let (allocs, _) = self.allocate_degrading(start_slot, None);
-            if self.cfg.policy == RejectPolicy::Paper {
-                // Reject rule, degraded: every task that would miss its
-                // deadline on the surviving paths is preempted so the
-                // rest stay on time.
-                let mut doomed: Vec<usize> = Vec::new();
-                for al in &allocs {
-                    if !al.on_time {
-                        let t = self.registry[&al.id].task;
-                        if !doomed.contains(&t) {
-                            doomed.push(t);
-                        }
-                    }
-                }
-                if !doomed.is_empty() {
-                    for t in doomed {
-                        self.stats.failed_tasks += 1;
-                        for r in self.registry.values_mut() {
-                            if r.task == t {
-                                r.done = true;
-                            }
-                        }
-                    }
-                    continue;
-                }
-            }
-            let cmds = self.commit(now, allocs);
-            let flows: Vec<usize> = self.schedule.keys().copied().collect();
-            let grants: Vec<FlowGrant> =
-                flows.into_iter().filter_map(|f| self.grant_of(f)).collect();
-            self.stats.grants += grants.len();
-            return (grants, cmds);
-        }
+        let mut view = RegistryView::new(&mut self.registry, &mut self.stats, now, &[]);
+        let allocs = self.adm.repack(&mut view, self.topo, start_slot);
+        let cmds = self.commit(now, allocs);
+        let grants: Vec<FlowGrant> = self
+            .schedule
+            .keys()
+            .filter_map(|&f| self.grant_of(f))
+            .collect();
+        self.stats.grants += grants.len();
+        (grants, cmds)
     }
 
     /// Handles a TERM: marks the flow done and withdraws its entries
@@ -752,8 +529,6 @@ impl<'t> Controller<'t> {
     /// been completed or missed deadline, it informs the corresponding
     /// switches to withdraw the route entries").
     pub fn handle_term(&mut self, now: f64, flow: usize) -> Vec<SwitchCmd> {
-        #[cfg(not(feature = "obs"))]
-        let _ = now;
         self.stats.terms += 1;
         if let Some(r) = self.registry.get_mut(&flow) {
             r.done = true;
@@ -761,28 +536,37 @@ impl<'t> Controller<'t> {
         }
         let mut cmds = Vec::new();
         if let Some(al) = self.schedule.remove(&flow) {
-            obs_event!(&self.trace, now, GrantRevoked { flow: obs_id(flow) });
             // The withdrawals must outrank the install that created the
             // entries (equal stamps resolve install-wins).
             self.gen += 1;
-            for l in &al.path.links {
-                let node = self.topo.link(*l).src;
-                if self.topo.node(node).kind.is_switch() {
-                    self.tables[node.idx()].withdraw(flow);
-                    self.stats.withdrawals += 1;
-                    obs_event!(
-                        &self.trace,
-                        now,
-                        EntryWithdrawn {
-                            node: obs_id(node.idx()),
-                            flow: obs_id(flow)
-                        }
-                    );
-                    cmds.push(SwitchCmd::Withdraw { node, flow });
-                }
-            }
+            self.revoke(now, &al, &mut cmds);
         }
         cmds
+    }
+
+    /// Revokes a flow's grant: withdraws its entry from every switch on
+    /// its path, appending the commands to `cmds`.
+    fn revoke(&mut self, now: f64, al: &FlowAlloc, cmds: &mut Vec<SwitchCmd>) {
+        #[cfg(not(feature = "obs"))]
+        let _ = now;
+        let flow = al.id;
+        obs_event!(&self.trace, now, GrantRevoked { flow: obs_id(flow) });
+        for l in &al.path.links {
+            let node = self.topo.link(*l).src;
+            if self.topo.node(node).kind.is_switch() {
+                self.tables[node.idx()].withdraw(flow);
+                self.stats.withdrawals += 1;
+                obs_event!(
+                    &self.trace,
+                    now,
+                    EntryWithdrawn {
+                        node: obs_id(node.idx()),
+                        flow: obs_id(flow)
+                    }
+                );
+                cmds.push(SwitchCmd::Withdraw { node, flow });
+            }
+        }
     }
 
     /// Serializes the controller's durable state for a standby
@@ -793,20 +577,7 @@ impl<'t> Controller<'t> {
         ControllerCheckpoint {
             epoch: self.epoch,
             gen: self.gen,
-            flows: self
-                .registry
-                .iter()
-                .map(|(&flow, r)| CheckpointFlow {
-                    flow,
-                    task: r.task,
-                    src: r.src,
-                    dst: r.dst,
-                    size: r.size,
-                    delivered: r.delivered,
-                    deadline: r.deadline,
-                    done: r.done,
-                })
-                .collect(),
+            flows: self.registry.values().cloned().collect(),
             decided: self.decided.iter().map(|(&t, v)| (t, v.clone())).collect(),
         }
     }
@@ -860,20 +631,7 @@ impl<'t> Controller<'t> {
         let mut c = Controller::new(topo, cfg);
         c.epoch = ckpt.epoch + 1;
         c.gen = ckpt.gen;
-        for f in &ckpt.flows {
-            c.registry.insert(
-                f.flow,
-                FlowReg {
-                    task: f.task,
-                    src: f.src,
-                    dst: f.dst,
-                    size: f.size,
-                    delivered: f.delivered,
-                    deadline: f.deadline,
-                    done: f.done,
-                },
-            );
-        }
+        c.registry = ckpt.flows.iter().map(|f| (f.flow, f.clone())).collect();
         c.decided = ckpt.decided.iter().cloned().collect();
         c
     }
@@ -899,15 +657,7 @@ impl<'t> Controller<'t> {
             } else {
                 self.registry.insert(
                     p.flow,
-                    FlowReg {
-                        task: p.task,
-                        src: p.src,
-                        dst: p.dst,
-                        size: p.size,
-                        delivered: (p.size - remaining).max(0.0),
-                        deadline: p.deadline,
-                        done: false,
-                    },
+                    CheckpointFlow::probed(p, (p.size - remaining).max(0.0)),
                 );
                 self.decided.entry(p.task).or_insert(TaskVerdict::Accepted);
             }
@@ -933,51 +683,12 @@ impl<'t> Controller<'t> {
     }
 
     /// Commits a new schedule: updates tables to match, emitting the diff
-    /// as switch commands.
-    ///
-    /// With the `validate` feature (default), the committed schedule is
-    /// first checked against the invariants (link-exclusivity,
-    /// demand-conservation, deadline consistency, full slot release) in
-    /// debug/test builds — or in any build when
-    /// [`ControllerConfig::force_validate`] is set (the chaos harness
-    /// runs release-mode with validation on); a violation panics with the
-    /// structured report.
+    /// as switch commands. The admission core has already validated
+    /// `allocs` ([`ControllerConfig::force_validate`] forces that check
+    /// in release builds; the chaos harness runs release-mode with it
+    /// on).
     fn commit(&mut self, now: f64, allocs: Vec<FlowAlloc>) -> Vec<SwitchCmd> {
-        #[cfg(not(feature = "obs"))]
-        let _ = now;
         self.gen += 1;
-        #[cfg(feature = "validate")]
-        if self.cfg.force_validate || cfg!(debug_assertions) {
-            let demands: Vec<FlowDemand> = allocs
-                .iter()
-                .filter_map(|al| {
-                    self.registry.get(&al.id).map(|r| FlowDemand {
-                        id: al.id,
-                        src: r.src,
-                        dst: r.dst,
-                        remaining: (r.size - r.delivered).max(1.0),
-                        deadline: r.deadline,
-                    })
-                })
-                .collect();
-            let mut report = taps_core::validate::check_schedule(
-                self.topo,
-                self.cfg.slot,
-                &demands,
-                &allocs,
-                "controller commit: schedule",
-            );
-            report.violations.extend(
-                taps_core::validate::check_occupancy(
-                    self.topo,
-                    &self.engine,
-                    &allocs,
-                    "controller commit: occupancy",
-                )
-                .violations,
-            );
-            assert!(report.is_clean(), "{report}");
-        }
         let mut cmds = Vec::new();
         // Withdraw entries of flows whose path changed or disappeared.
         let new: BTreeMap<usize, &FlowAlloc> = allocs.iter().map(|al| (al.id, al)).collect();
@@ -990,23 +701,7 @@ impl<'t> Controller<'t> {
         for id in stale {
             // lint: panic-ok(invariant: `stale` ids were just drawn from `schedule.keys()`)
             let al = self.schedule.remove(&id).expect("stale id came from keys");
-            obs_event!(&self.trace, now, GrantRevoked { flow: obs_id(id) });
-            for l in &al.path.links {
-                let node = self.topo.link(*l).src;
-                if self.topo.node(node).kind.is_switch() {
-                    self.tables[node.idx()].withdraw(id);
-                    self.stats.withdrawals += 1;
-                    obs_event!(
-                        &self.trace,
-                        now,
-                        EntryWithdrawn {
-                            node: obs_id(node.idx()),
-                            flow: obs_id(id)
-                        }
-                    );
-                    cmds.push(SwitchCmd::Withdraw { node, flow: id });
-                }
-            }
+            self.revoke(now, &al, &mut cmds);
         }
         obs_event!(
             &self.trace,
@@ -1019,14 +714,13 @@ impl<'t> Controller<'t> {
         // Install entries for new/re-routed flows.
         for al in allocs {
             #[cfg(feature = "obs")]
-            self.emit_grant_burst(now, &al);
+            self.adm.emit_grant_burst(now, &al, self.epoch, self.gen);
             if let std::collections::btree_map::Entry::Occupied(mut e) = self.schedule.entry(al.id)
             {
                 // Same path: update slices only (no data-plane change).
                 e.insert(al);
                 continue;
             }
-            let mut ok = true;
             for l in &al.path.links {
                 let node = self.topo.link(*l).src;
                 if !self.topo.node(node).kind.is_switch() {
@@ -1053,59 +747,106 @@ impl<'t> Controller<'t> {
                             out_link: *l,
                         });
                     }
-                    Err(TableError::BudgetExhausted) => {
-                        self.stats.budget_drops += 1;
-                        ok = false;
-                    }
+                    // The flow falls back to default routing on this hop.
+                    Err(TableError::BudgetExhausted) => self.stats.budget_drops += 1,
                     // lint: panic-ok(invariant: conflicting entries were withdrawn in the stale pass above)
                     Err(TableError::Conflict) => unreachable!("entry was withdrawn above"),
                 }
             }
-            let _ = ok; // budget-dropped flows fall back to default routes
             self.schedule.insert(al.id, al);
         }
         obs_event!(&self.trace, now, CommitEnd { gen: self.gen });
         cmds
     }
+}
 
-    /// Emits the `GrantIssued` + `GrantHop` + `GrantSlice` burst of one
-    /// committed allocation.
-    #[cfg(feature = "obs")]
-    fn emit_grant_burst(&self, now: f64, al: &FlowAlloc) {
-        obs_event!(
-            &self.trace,
+/// The registry as the admission core sees it: every unfinished flow,
+/// with its remaining bytes as the senders last reported them.
+///
+/// Flows whose deadline is at or before `now` are expired (marked done)
+/// in the same pass that builds F_tmp, as the simulator stops a flow at
+/// its deadline: a flow that has already missed is no longer anyone's
+/// victim. The tasks being admitted are exempt, so a probe that arrives
+/// past its own deadline is rejected by Rule 2 rather than accepted with
+/// nothing to send. Weights are 1.0: [`ProbeHeader`] carries none.
+struct RegistryView<'r> {
+    flows: &'r mut BTreeMap<usize, CheckpointFlow>,
+    stats: &'r mut ControlStats,
+    now: f64,
+    newcomers: &'r [usize],
+}
+
+impl<'r> RegistryView<'r> {
+    fn new(
+        flows: &'r mut BTreeMap<usize, CheckpointFlow>,
+        stats: &'r mut ControlStats,
+        now: f64,
+        newcomers: &'r [usize],
+    ) -> Self {
+        RegistryView {
+            flows,
+            stats,
             now,
-            GrantIssued {
-                flow: obs_id(al.id),
-                epoch: self.epoch,
-                gen: self.gen,
-                hops: obs_id(al.path.links.len()),
-                slices: obs_id(al.slices.intervals().count()),
-                on_time: al.on_time
-            }
-        );
-        for (idx, l) in al.path.links.iter().enumerate() {
-            obs_event!(
-                &self.trace,
-                now,
-                GrantHop {
-                    flow: obs_id(al.id),
-                    idx: obs_id(idx),
-                    link: obs_id(l.idx())
-                }
-            );
+            newcomers,
         }
-        for (idx, iv) in al.slices.intervals().enumerate() {
-            obs_event!(
-                &self.trace,
-                now,
-                GrantSlice {
-                    flow: obs_id(al.id),
-                    idx: obs_id(idx),
-                    start: taps_timeline::slots::to_f64(iv.start) * self.cfg.slot,
-                    end: taps_timeline::slots::to_f64(iv.end) * self.cfg.slot
-                }
-            );
+    }
+}
+
+impl FlowView for RegistryView<'_> {
+    fn live_flows(&mut self, out: &mut Vec<FlowDemand>) {
+        let (now, newcomers) = (self.now, self.newcomers);
+        let mut live: Vec<&CheckpointFlow> = Vec::new();
+        for f in self.flows.values_mut() {
+            if f.done {
+                continue;
+            }
+            if f.deadline.total_cmp(&now).is_le() && !newcomers.contains(&f.task) {
+                f.done = true;
+                continue;
+            }
+            live.push(f);
+        }
+        // EDF then SJF on the reported remaining bytes (`total_cmp`: a
+        // NaN deadline or size cannot panic the sort).
+        live.sort_by(|a, b| {
+            a.deadline
+                .total_cmp(&b.deadline)
+                .then_with(|| (a.size - a.delivered).total_cmp(&(b.size - b.delivered)))
+                .then_with(|| a.flow.cmp(&b.flow))
+        });
+        out.extend(live.into_iter().map(|f| FlowDemand {
+            id: f.flow,
+            src: f.src,
+            dst: f.dst,
+            remaining: (f.size - f.delivered).max(1.0),
+            deadline: f.deadline,
+        }));
+    }
+
+    fn task_of(&self, flow: usize) -> usize {
+        self.flows[&flow].task
+    }
+
+    fn weight(&self, _task: usize) -> f64 {
+        1.0
+    }
+
+    fn flow_counts(&self, task: usize) -> (usize, usize) {
+        let flows = self.flows.values().filter(|f| f.task == task);
+        flows.fold((0, 0), |(completed, total), f| {
+            let whole = f.done && f.delivered.total_cmp(&f.size).is_ge();
+            (completed + usize::from(whole), total + 1)
+        })
+    }
+
+    fn drop_task(&mut self, task: usize, why: DropReason) {
+        match why {
+            DropReason::Reject => self.stats.rejected_tasks += 1,
+            DropReason::Preempt => self.stats.preempted_tasks += 1,
+            DropReason::Fail => self.stats.failed_tasks += 1,
+        }
+        for f in self.flows.values_mut().filter(|f| f.task == task) {
+            f.done = true;
         }
     }
 }
@@ -1212,6 +953,23 @@ mod tests {
         assert_eq!(v1, TaskVerdict::AcceptedWithPreemption(0));
         assert_eq!(grants.len(), 1);
         assert_eq!(c.stats().preempted_tasks, 1);
+    }
+
+    /// A flow whose deadline passed with no TERM has already missed: it
+    /// is expired rather than re-packed, so it is no newcomer's victim.
+    #[test]
+    fn expired_flows_are_not_preemption_victims() {
+        let topo = dumbbell(2, 2, GBPS);
+        let mut c = Controller::new(&topo, cfg_unit());
+        let (v0, _, _) = c.handle_probe(0.0, &[probe(0, 0, 0, 2, 2.0 * GBPS, 3.0)]);
+        assert_eq!(v0, TaskVerdict::Accepted);
+        // No progress report and no TERM: at t=4 the registry still
+        // holds flow 0 with 2 units left, past its deadline.
+        let (v1, grants, _) = c.handle_probe(4.0, &[probe(1, 1, 1, 3, GBPS, 10.0)]);
+        assert_eq!(v1, TaskVerdict::Accepted);
+        assert_eq!(c.stats().preempted_tasks, 0);
+        assert_eq!(grants[0].slices.min_start(), Some(4), "the link is free");
+        assert!(c.checkpoint().flows[0].done, "flow 0 expired");
     }
 
     #[test]

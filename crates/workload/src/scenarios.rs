@@ -388,6 +388,31 @@ pub enum ScenarioFamily {
     },
 }
 
+/// The scenario matrix's two pinned seeds.
+pub const MATRIX_SEEDS: [u64; 2] = [3, 11];
+
+/// The scenario matrix at one seed: every family, sized for gate
+/// latency on a 16-host tree. Shared by the `cargo xtask scenarios` gate
+/// (whose pinned digests depend on these exact presets) and the
+/// simulator-vs-controller differential test.
+pub fn matrix_presets(seed: u64) -> Vec<(&'static str, ScenarioConfig)> {
+    vec![
+        ("weighted", ScenarioConfig::weighted(16, 24, seed)),
+        (
+            "close_to_deadline",
+            ScenarioConfig::close_to_deadline(16, 20, seed),
+        ),
+        ("websearch", ScenarioConfig::websearch_sizes(16, 20, seed)),
+        (
+            "data_mining",
+            ScenarioConfig::data_mining_sizes(16, 16, seed),
+        ),
+        ("incast", ScenarioConfig::incast(16, 20, seed)),
+        ("straggler", ScenarioConfig::straggler(16, 16, seed)),
+        ("diurnal_ramp", ScenarioConfig::diurnal_ramp(16, 24, seed)),
+    ]
+}
+
 /// A validated, seeded scenario: one cell of the golden scenario matrix.
 ///
 /// [`ScenarioConfig::generate`] is a pure function of the config — the

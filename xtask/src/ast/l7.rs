@@ -5,10 +5,10 @@
 //! on a `self`-rooted receiver: `insert_set`, `remove_set`,
 //! `insert_range`, `remove_range`) must also reach a **validate
 //! gate** — a function that invokes `check_schedule`/`check_occupancy`.
-//! Validation in this workspace is post-hoc: `Scheduler::commit` and
-//! `Controller::commit` check the *whole* allocation batch against the
-//! invariants after the engine staged its occupancy mutations and
-//! before the schedule is exposed (routes installed, grants sent). The
+//! Validation in this workspace is post-hoc: `taps_core::admission`
+//! checks the *whole* allocation batch against the invariants after the
+//! engine staged its occupancy mutations and before it hands the batch
+//! to `Taps`/`Controller` for commit (routes installed, grants sent). The
 //! gate is therefore a sibling of the mutation on the call tree, not
 //! its dominator — what the rule enforces is that an entry which
 //! mutates occupancy has a validation step *somewhere* downstream; an

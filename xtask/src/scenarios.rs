@@ -28,35 +28,13 @@ use taps::prelude::*;
 use taps_flowsim::Scheduler;
 use taps_sdn::{run_chaos, ChannelConfig, ChaosConfig, ControllerConfig};
 use taps_topology::build::partial_fat_tree_testbed;
-use taps_workload::ScenarioConfig;
+use taps_workload::{matrix_presets, ScenarioConfig, MATRIX_SEEDS};
 
 /// One failed matrix check.
 pub struct ScenarioFailure {
     /// `family/seed[/scheduler]` cell label.
     pub cell: String,
     pub what: String,
-}
-
-/// The matrix's two pinned seeds.
-const SEEDS: [u64; 2] = [3, 11];
-
-/// All scenario families at a fixed seed, sized for gate latency.
-fn presets(seed: u64) -> Vec<(&'static str, ScenarioConfig)> {
-    vec![
-        ("weighted", ScenarioConfig::weighted(16, 24, seed)),
-        (
-            "close_to_deadline",
-            ScenarioConfig::close_to_deadline(16, 20, seed),
-        ),
-        ("websearch", ScenarioConfig::websearch_sizes(16, 20, seed)),
-        (
-            "data_mining",
-            ScenarioConfig::data_mining_sizes(16, 16, seed),
-        ),
-        ("incast", ScenarioConfig::incast(16, 20, seed)),
-        ("straggler", ScenarioConfig::straggler(16, 16, seed)),
-        ("diurnal_ramp", ScenarioConfig::diurnal_ramp(16, 24, seed)),
-    ]
 }
 
 type SchedulerFactory = fn() -> Box<dyn Scheduler>;
@@ -225,7 +203,7 @@ pub fn print_table() {
         rule.push_str("---|");
     }
     println!("{header}\n{rule}");
-    for (family, cfg) in presets(SEEDS[0]) {
+    for (family, cfg) in matrix_presets(MATRIX_SEEDS[0]) {
         let wl = match cfg.generate() {
             Ok(wl) => wl,
             Err(e) => {
@@ -288,8 +266,8 @@ pub fn run(root: &Path, update: bool) -> (Vec<String>, Vec<ScenarioFailure>) {
     let mut failures = Vec::new();
     let mut digests: BTreeMap<String, String> = BTreeMap::new();
 
-    for seed in SEEDS {
-        for (family, cfg) in presets(seed) {
+    for seed in MATRIX_SEEDS {
+        for (family, cfg) in matrix_presets(seed) {
             let wl = match cfg.generate() {
                 Ok(wl) => wl,
                 Err(e) => {
