@@ -4,13 +4,16 @@
 //! Replays a Poisson stream of task arrivals against a persistent
 //! allocator: each arrival adds a task's flows to the active set and
 //! triggers the full re-allocation TAPS performs per arrival (Alg. 1).
-//! Wall-clock latency of every re-allocation is recorded for the legacy
-//! engine (per-call path enumeration, allocating interval folds), the
-//! fast engine (path cache, scratch buffers, pruned parallel candidate
-//! evaluation) and the delta engine (cross-arrival reuse: undisturbed
+//! Wall-clock latency of every re-allocation is recorded for the plain
+//! reference loop (`taps_core::oracle::reference_allocate_batch`:
+//! per-call path enumeration, allocating interval folds), the engine's
+//! full pass (path cache, scratch buffers, bound-pruned candidate
+//! ranking) and the delta engine (cross-arrival reuse: undisturbed
 //! flows are translated instead of re-searched), on fat-trees k=8, 16
 //! and 24. All runs replay the same stream and must produce
 //! bit-identical schedules — the binary asserts this before reporting.
+//! A fat-tree k=32 section then times burst admission: a whole burst of
+//! tasks in one delta pass against one pass per task.
 //!
 //! Emits `BENCH_admission.json` with p50/p95 admission latency,
 //! sustainable arrivals/sec and the fast- and delta-vs-legacy speedups
@@ -19,23 +22,25 @@
 //!
 //! Usage: `bench_admission [--arrivals N] [--window W] [--flows F]
 //!         [--lambda PER_SEC] [--max-paths P] [--seed S] [--out PATH]
-//!         [--metrics-out PATH] [--ks K,K,...]`
+//!         [--metrics-out PATH] [--ks K,K,...] [--burst-k K]
+//!         [--burst-batch B] [--burst-window W] [--burst-rounds R]`
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::time::Instant;
 use taps_bench::Args;
-use taps_core::{AllocMode, DeltaCache, FlowDemand, ShardedAllocator, SlotAllocator};
+use taps_core::oracle::reference_allocate_batch;
+use taps_core::{DeltaCache, FlowDemand, SlotAllocator};
 use taps_topology::build::{fat_tree, GBPS};
 use taps_topology::Topology;
 
 /// Which allocation entry point a replay exercises.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RunMode {
-    /// `AllocMode::Legacy` full pass per arrival.
+    /// `reference_allocate_batch` per arrival: the unoptimized loop.
     Legacy,
-    /// `AllocMode::Fast` full pass per arrival.
+    /// `AllocEngine::allocate_batch` full pass per arrival.
     Fast,
     /// `allocate_batch_delta` with a persistent cross-arrival cache.
     Delta,
@@ -74,7 +79,6 @@ struct Config {
     flows_per_task: usize,
     lambda: f64,
     max_paths: usize,
-    parallel_threshold: usize,
     seed: u64,
 }
 
@@ -84,14 +88,7 @@ fn replay(topo: &Topology, mode: RunMode, cfg: &Config) -> RunStats {
     const WARMUP: usize = 4;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut alloc = SlotAllocator::new(topo, 1e-4, cfg.max_paths);
-    alloc.engine_mut().set_mode(match mode {
-        RunMode::Legacy => AllocMode::Legacy,
-        RunMode::Fast | RunMode::Delta => AllocMode::Fast,
-    });
-    alloc
-        .engine_mut()
-        .set_parallel_threshold(cfg.parallel_threshold);
-    if !matches!(mode, RunMode::Legacy) {
+    if mode != RunMode::Legacy {
         // Bring-up: install the path tables before traffic arrives, as
         // an SDN controller would. The legacy baseline stays naive (the
         // paper re-enumerates on every arrival), and warm vs cold cache
@@ -140,9 +137,12 @@ fn replay(topo: &Topology, mode: RunMode, cfg: &Config) -> RunStats {
         let t0 = Instant::now();
         let allocs = match mode {
             RunMode::Delta => alloc.allocate_batch_delta(&flat, start_slot, &mut cache),
-            RunMode::Legacy | RunMode::Fast => {
+            RunMode::Fast => {
                 alloc.reset();
                 alloc.allocate_batch(&flat, start_slot)
+            }
+            RunMode::Legacy => {
+                reference_allocate_batch(topo, &flat, start_slot, 1e-4, cfg.max_paths)
             }
         }
         .expect("generated host pairs are connected");
@@ -166,71 +166,64 @@ fn replay(topo: &Topology, mode: RunMode, cfg: &Config) -> RunStats {
     }
 }
 
-/// Result of the paper-scale sharded replay: per-burst latency stats
-/// for three admission strategies over the identical arrival stream.
-struct ShardedRun {
+/// Result of the paper-scale burst replay: per-burst latency of two
+/// admission strategies over the identical arrival stream.
+struct BurstRun {
     /// Per-task sequential admission of the burst (one delta pass per
     /// arriving task, the canonical Alg. 1 loop) — total per burst.
     sequential_mean_us: f64,
-    /// Whole burst in one monolithic delta pass.
+    /// Whole burst in one delta pass.
     batched_mean_us: f64,
-    /// Whole burst in one sharded pass (per-pod shard controllers).
-    sharded_mean_us: f64,
-    sharded_p50_us: f64,
     /// Burst admission speedup: sequential / batched.
     speedup_batched_vs_sequential: f64,
-    /// End-to-end speedup of the sharded batched pass over per-task
-    /// sequential admission — the before/after of this regime.
-    speedup_sharded_vs_sequential: f64,
-    /// Sharded vs monolithic batched pass. On a single-core machine the
-    /// shards run inline, so this hovers near 1.0 by construction.
-    speedup_sharded_vs_batched: f64,
-    /// Flow allocations committed per second of sharded wall-clock:
-    /// every pass re-admits the entire in-flight window (TAPS
+    /// Flow allocations committed per second of batched wall-clock:
+    /// every pass re-allocates the entire in-flight window (TAPS
     /// re-allocates all live flows on each arrival batch), so the rate
-    /// is `window flows / pass latency`, averaged over rounds.
-    admissions_per_sec: f64,
+    /// is `window flows / batched pass latency`, averaged over rounds.
+    /// Only `new_flows_per_burst` of those flows are new admissions.
+    flow_allocs_per_sec: f64,
     /// In-flight window size (flows) once the sliding window is full.
     window_flows: usize,
+    /// Flows the burst itself brings (`batch × flows per task`).
+    new_flows_per_burst: usize,
     rounds: usize,
-    /// FNV-1a over every measured round's sharded schedule (flow ids,
+    /// FNV-1a over every measured round's batched schedule (flow ids,
     /// path links, slices, completion slots, verdicts). A pure function
     /// of the seeded workload — two runs of the same configuration must
-    /// produce the same value on any machine and any core count, which
-    /// is exactly what the bench-smoke shard-determinism gate checks.
+    /// produce the same value on any machine, which is exactly what the
+    /// bench-smoke determinism gate checks.
     schedule_fingerprint: u64,
 }
 
 /// Paper-scale regime (fat-tree k=32, 8 192 hosts): pod-local Poisson
-/// bursts admitted batch-at-a-time, sharded per pod. Three strategies
-/// replay the identical stream — per-task sequential admission (the
-/// canonical Alg. 1 loop: one re-allocation per arriving task), one
-/// monolithic batched delta pass per burst, and one sharded pass per
+/// bursts admitted batch-at-a-time. Two strategies replay the identical
+/// stream — per-task sequential admission (the canonical Alg. 1 loop:
+/// one re-allocation per arriving task) and one batched delta pass per
 /// burst — and the final schedules are asserted bit-identical before
-/// any number is reported. The legacy engine is deliberately absent
+/// any number is reported. The legacy loop is deliberately absent
 /// here — a full per-arrival path enumeration over 8 192 hosts is
 /// exactly the bottleneck the k≤24 rows above already quantify.
-fn replay_sharded(topo: &Topology, cfg: &ShardedConfig) -> ShardedRun {
+fn replay_burst(topo: &Topology, cfg: &BurstConfig) -> BurstRun {
     const WARMUP: usize = 2;
     let per_pod = topo.num_hosts() / cfg.pods;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut sharded = ShardedAllocator::new(topo, 1e-4, cfg.max_paths);
-    // Pod-scoped warm-up all around: every allocator pre-enumerates
-    // exactly the intra-pod ToR pairs the pod-local workload can touch,
-    // so no strategy pays enumeration inside the timed region and the
-    // comparison is cache-fair. (An all-pairs warm at k=32 would
-    // enumerate 512×511 ToR pairs and dominate the run for nothing —
-    // cross-pod pairs never occur here.)
-    sharded.warm(topo);
-    let pods = taps_topology::pods::PodMap::new(topo);
-    let mut unsharded = SlotAllocator::new(topo, 1e-4, cfg.max_paths);
+    let mut batched = SlotAllocator::new(topo, 1e-4, cfg.max_paths);
     let mut cache = DeltaCache::new();
     let mut seq_alloc = SlotAllocator::new(topo, 1e-4, cfg.max_paths);
     let mut seq_cache = DeltaCache::new();
-    for p in 0..pods.num_pods() {
-        let p = u32::try_from(p).expect("pod count fits u32");
-        unsharded.engine_mut().warm_paths_pod(topo, &pods, p);
-        seq_alloc.engine_mut().warm_paths_pod(topo, &pods, p);
+    // Pod-scoped warm-up: both allocators pre-enumerate exactly the
+    // intra-pod ToR pairs the pod-local workload can touch, so neither
+    // pays enumeration inside the timed region. (An all-pairs warm at
+    // k=32 would enumerate 512×511 ToR pairs and dominate the run for
+    // nothing — cross-pod pairs never occur here.) Fat-tree hosts are
+    // numbered pod-major.
+    for p in 0..cfg.pods {
+        batched
+            .engine_mut()
+            .warm_paths_filtered(topo, |h| h / per_pod == p);
+        seq_alloc
+            .engine_mut()
+            .warm_paths_filtered(topo, |h| h / per_pod == p);
     }
     let mut active: VecDeque<Vec<FlowDemand>> = VecDeque::new();
     let mut flat: Vec<FlowDemand> = Vec::new();
@@ -238,8 +231,7 @@ fn replay_sharded(topo: &Topology, cfg: &ShardedConfig) -> ShardedRun {
     let mut start_slot = 0u64;
     let mut sequential_us = Vec::with_capacity(cfg.rounds);
     let mut batched_us = Vec::with_capacity(cfg.rounds);
-    let mut sharded_us = Vec::with_capacity(cfg.rounds);
-    let mut admissions_per_sec = Vec::with_capacity(cfg.rounds);
+    let mut flow_allocs_per_sec = Vec::with_capacity(cfg.rounds);
     let mut window_flows = 0usize;
     let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
     for round in 0..WARMUP + cfg.rounds {
@@ -283,46 +275,28 @@ fn replay_sharded(topo: &Topology, cfg: &ShardedConfig) -> ShardedRun {
                 .expect("pod-local pairs are connected");
         }
         let t_sequential = t0.elapsed();
-        // `flat` now holds the full window; the batched passes see the
+        // `flat` now holds the full window; the batched pass sees the
         // exact demand set the sequential loop ended on.
         let t1 = Instant::now();
-        let want = unsharded
+        let got = batched
             .allocate_batch_delta(&flat, start_slot, &mut cache)
             // lint: panic-ok(bench harness: generated pod-local pairs are connected)
             .expect("pod-local pairs are connected");
         let t_batched = t1.elapsed();
-        let t2 = Instant::now();
-        let got = sharded
-            .allocate_batch_sharded(topo, &flat, start_slot)
-            // lint: panic-ok(bench harness: generated pod-local pairs are connected)
-            .expect("pod-local pairs are connected");
-        let t_sharded = t2.elapsed();
-        // Bit-identity gates before any timing is trusted: batched ==
-        // sequential's final pass (batching exactness) and sharded ==
-        // batched (shard determinism).
-        assert_eq!(
-            want.len(),
-            seq_last.len(),
-            "round {round}: seq batch length"
-        );
-        assert_eq!(want.len(), got.len(), "round {round}: sharded batch length");
-        for ((w, s), g) in want.iter().zip(&seq_last).zip(&got) {
+        // Bit-identity gate before any timing is trusted: batched ==
+        // sequential's final pass (batching exactness).
+        assert_eq!(got.len(), seq_last.len(), "round {round}: batch length");
+        for (g, s) in got.iter().zip(&seq_last) {
             assert!(
-                w.id == s.id && w.path == s.path && w.slices == s.slices && w.on_time == s.on_time,
+                g.id == s.id && g.path == s.path && g.slices == s.slices && g.on_time == s.on_time,
                 "round {round}: batched schedule diverged from sequential at flow {}",
-                w.id
-            );
-            assert!(
-                w.id == g.id && w.path == g.path && w.slices == g.slices && w.on_time == g.on_time,
-                "round {round}: sharded schedule diverged at flow {}",
-                w.id
+                g.id
             );
         }
         if round >= WARMUP {
             sequential_us.push(t_sequential.as_secs_f64() * 1e6);
             batched_us.push(t_batched.as_secs_f64() * 1e6);
-            sharded_us.push(t_sharded.as_secs_f64() * 1e6);
-            admissions_per_sec.push(flat.len() as f64 / t_sharded.as_secs_f64());
+            flow_allocs_per_sec.push(flat.len() as f64 / t_batched.as_secs_f64());
             window_flows = window_flows.max(flat.len());
             for a in &got {
                 fnv_word(&mut fingerprint, a.id as u64); // lint: cast-ok(flow ids are small indices)
@@ -337,30 +311,25 @@ fn replay_sharded(topo: &Topology, cfg: &ShardedConfig) -> ShardedRun {
                 fnv_word(&mut fingerprint, u64::from(a.on_time));
             }
         }
-        std::hint::black_box((want, got, seq_last));
+        std::hint::black_box((got, seq_last));
         start_slot += rng.gen_range(4u64..12);
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let sequential_mean_us = mean(&sequential_us);
     let batched_mean_us = mean(&batched_us);
-    let sharded_mean_us = mean(&sharded_us);
-    sharded_us.sort_by(f64::total_cmp);
-    ShardedRun {
+    BurstRun {
         sequential_mean_us,
         batched_mean_us,
-        sharded_mean_us,
-        sharded_p50_us: percentile(&sharded_us, 0.50),
         speedup_batched_vs_sequential: sequential_mean_us / batched_mean_us,
-        speedup_sharded_vs_sequential: sequential_mean_us / sharded_mean_us,
-        speedup_sharded_vs_batched: batched_mean_us / sharded_mean_us,
-        admissions_per_sec: mean(&admissions_per_sec),
+        flow_allocs_per_sec: mean(&flow_allocs_per_sec),
         window_flows,
+        new_flows_per_burst: cfg.batch * cfg.flows_per_task,
         rounds: cfg.rounds,
         schedule_fingerprint: fingerprint,
     }
 }
 
-struct ShardedConfig {
+struct BurstConfig {
     pods: usize,
     batch: usize,
     flows_per_task: usize,
@@ -390,8 +359,6 @@ fn main() {
         flows_per_task: args.get_usize("flows", 6),
         lambda: args.get_f64("lambda", 200.0),
         max_paths: args.get_usize("max-paths", 64),
-        parallel_threshold: args
-            .get_usize("parallel-threshold", taps_core::DEFAULT_PARALLEL_THRESHOLD),
         seed: args.get_usize("seed", 1) as u64,
     };
     assert!(cfg.arrivals > 0, "--arrivals must be at least 1");
@@ -518,52 +485,55 @@ fn main() {
             ("schedules_identical".into(), serde_json::Value::Bool(true)),
         ]));
     }
-    // Paper-scale sharded regime: fat-tree k=32 (8 192 hosts) with
-    // pod-local Poisson bursts admitted batch-at-a-time. `--sharded-k 0`
+    // Paper-scale burst regime: fat-tree k=32 (8 192 hosts) with
+    // pod-local Poisson bursts admitted batch-at-a-time. `--burst-k 0`
     // disables the section (it builds a 9 472-node topology).
-    let sharded_k = args.get_usize("sharded-k", 32);
-    let sharded_row = if sharded_k > 0 {
-        let scfg = ShardedConfig {
-            pods: sharded_k,
-            batch: args.get_usize("sharded-batch", 64),
+    let burst_k = args.get_usize("burst-k", 32);
+    let burst_row = if burst_k > 0 {
+        let bcfg = BurstConfig {
+            pods: burst_k,
+            batch: args.get_usize("burst-batch", 64),
             flows_per_task: cfg.flows_per_task,
-            window_batches: args.get_usize("sharded-window", 4),
-            rounds: args.get_usize("sharded-rounds", 10),
+            window_batches: args.get_usize("burst-window", 4),
+            rounds: args.get_usize("burst-rounds", 10),
             max_paths: cfg.max_paths,
             seed: cfg.seed,
         };
-        let topo = fat_tree(sharded_k, GBPS);
-        let run = replay_sharded(&topo, &scfg);
+        let topo = fat_tree(burst_k, GBPS);
+        let run = replay_burst(&topo, &bcfg);
         println!(
-            "  fat_tree({sharded_k:>2}) sharded: sequential {:>9.1}us | batched {:>8.1}us \
-             ({:>4.1}x) | sharded {:>8.1}us ({:>4.1}x vs seq) | {:.0} admissions/s over {} rounds",
+            "  fat_tree({burst_k:>2}) burst: sequential {:>9.1}us | batched {:>8.1}us \
+             ({:>4.1}x) | {:.0} flow allocs/s ({} new flows per burst) over {} rounds",
             run.sequential_mean_us,
             run.batched_mean_us,
             run.speedup_batched_vs_sequential,
-            run.sharded_mean_us,
-            run.speedup_sharded_vs_sequential,
-            run.admissions_per_sec,
+            run.flow_allocs_per_sec,
+            run.new_flows_per_burst,
             run.rounds
         );
         Some(serde_json::Value::Object(vec![
-            ("k".into(), serde_json::Value::UInt(sharded_k as u64)),
+            ("k".into(), serde_json::Value::UInt(burst_k as u64)),
             (
                 "hosts".into(),
                 serde_json::Value::UInt(topo.num_hosts() as u64),
             ),
             (
                 "batch_tasks".into(),
-                serde_json::Value::UInt(scfg.batch as u64),
+                serde_json::Value::UInt(bcfg.batch as u64),
             ),
             (
                 "window_batches".into(),
-                serde_json::Value::UInt(scfg.window_batches as u64),
+                serde_json::Value::UInt(bcfg.window_batches as u64),
             ),
             (
                 "window_flows".into(),
                 serde_json::Value::UInt(run.window_flows as u64),
             ),
-            ("rounds".into(), serde_json::Value::UInt(scfg.rounds as u64)),
+            (
+                "new_flows_per_burst".into(),
+                serde_json::Value::UInt(run.new_flows_per_burst as u64),
+            ),
+            ("rounds".into(), serde_json::Value::UInt(bcfg.rounds as u64)),
             (
                 "sequential_mean_us".into(),
                 serde_json::Value::Float(run.sequential_mean_us),
@@ -573,28 +543,12 @@ fn main() {
                 serde_json::Value::Float(run.batched_mean_us),
             ),
             (
-                "sharded_mean_us".into(),
-                serde_json::Value::Float(run.sharded_mean_us),
-            ),
-            (
-                "sharded_p50_us".into(),
-                serde_json::Value::Float(run.sharded_p50_us),
-            ),
-            (
                 "speedup_batched_vs_sequential".into(),
                 serde_json::Value::Float(run.speedup_batched_vs_sequential),
             ),
             (
-                "speedup_sharded_vs_sequential".into(),
-                serde_json::Value::Float(run.speedup_sharded_vs_sequential),
-            ),
-            (
-                "speedup_sharded_vs_batched".into(),
-                serde_json::Value::Float(run.speedup_sharded_vs_batched),
-            ),
-            (
-                "admissions_per_sec_batched".into(),
-                serde_json::Value::Float(run.admissions_per_sec),
+                "flow_allocs_per_sec_batched".into(),
+                serde_json::Value::Float(run.flow_allocs_per_sec),
             ),
             (
                 "schedule_fingerprint".into(),
@@ -644,8 +598,8 @@ fn main() {
         ),
         ("results".into(), serde_json::Value::Array(results)),
     ]);
-    if let (serde_json::Value::Object(members), Some(row)) = (&mut doc, sharded_row) {
-        members.push(("sharded".into(), row));
+    if let (serde_json::Value::Object(members), Some(row)) = (&mut doc, burst_row) {
+        members.push(("burst".into(), row));
     }
     // Route the report through the normalizing writer shared with the
     // trace exporter: machine-local keys (timestamps, hostnames) are

@@ -13,19 +13,19 @@
 //!
 //! Because Alg. 1 re-runs this for *every* live flow on *every* task
 //! arrival, the inner loop is the simulator's hot path. [`AllocEngine`]
-//! is the reusable core: it keeps per-link occupancy buffers, a
-//! [`PathCache`], and a scratch [`IntervalSet`] alive across admissions
-//! (see DESIGN.md § Performance) and evaluates candidate paths with an
-//! early-exit bound — or on several threads when the candidate budget is
-//! large. [`SlotAllocator`] is the thin topology-borrowing façade the
-//! rest of the crate (and the benches) use.
+//! is the one search the simulator and the SDN controller run: it keeps
+//! per-link occupancy buffers, a [`PathCache`], and a scratch
+//! [`IntervalSet`] alive across admissions (see DESIGN.md § Performance)
+//! and ranks candidate paths sequentially with an early-exit bound.
+//! [`SlotAllocator`] is the thin topology-borrowing façade the tests and
+//! benches use. The plain paper loop lives apart, as the reference
+//! [`crate::oracle::reference_allocate_batch`] that tests compare
+//! against.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use taps_timeline::{slots, IntervalSet};
 use taps_topology::cache::PathCache;
-use taps_topology::paths::PathFinder;
 use taps_topology::{LinkId, Path, Topology};
 
 /// Why an allocation could not be produced.
@@ -93,28 +93,6 @@ impl FlowAlloc {
         slots::to_f64(self.completion_slot) * slot
     }
 }
-
-/// Which Alg. 2 inner loop the engine runs. Both produce bit-identical
-/// allocations; `Legacy` exists as the before/after baseline for the
-/// admission benchmarks and as a cross-check in tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AllocMode {
-    /// Cached paths, scratch-buffer unions, bound-pruned completion
-    /// scans, parallel candidate evaluation past
-    /// [`AllocEngine::parallel_threshold`]. The default.
-    Fast,
-    /// The original implementation: re-enumerate paths per flow and
-    /// materialize every candidate's slices.
-    Legacy,
-}
-
-/// Candidate count at or above which [`AllocMode::Fast`] evaluates
-/// candidates on multiple threads. Evaluating one candidate is only a
-/// handful of interval merges, so spawning threads per flow does not pay
-/// until the candidate set is very large — on a fat-tree k=16 replay a
-/// threshold of 32 made admission ~6x *slower* than staying sequential.
-/// Tune per workload with [`AllocEngine::set_parallel_threshold`].
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 512;
 
 /// Number of slots a transfer of `bytes` needs at `bottleneck` bytes/s
 /// with `slot`-second slots.
@@ -217,13 +195,11 @@ pub(crate) fn first_fit_shared(
 pub struct AllocEngine {
     /// Slot duration, seconds.
     pub(crate) slot: f64,
-    /// Candidate-path budget for Alg. 2 (paper: "all the possible paths";
-    /// capped with even sampling at fat-tree scale — see DESIGN.md).
-    max_paths: usize,
-    mode: AllocMode,
-    parallel_threshold: usize,
     /// `O_x` per directed link, in slot indices.
     pub(crate) occupancy: Vec<IntervalSet>,
+    /// Candidate paths per endpoint pair, capped at the Alg. 2 budget
+    /// (paper: "all the possible paths"; capped with even sampling at
+    /// fat-tree scale — see DESIGN.md).
     cache: PathCache,
     /// Scratch `T_ocp` reused across candidates and admissions.
     pub(crate) scratch: IntervalSet,
@@ -247,9 +223,9 @@ pub struct AllocEngine {
 ///
 /// `slots_scanned` is defined as the winner's completion depth
 /// (`completion_slot - start_slot + 1`) rather than the raw number of
-/// slots the search visited: the raw count depends on pruning order and
-/// would differ between the sequential and parallel fast paths, while the
-/// winner depth is identical across modes, thread counts and runs.
+/// slots the search visited: the raw count depends on pruning order
+/// (seeded or not, delta or full pass), while the winner depth is
+/// identical across them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocCounters {
     /// Candidate paths ranked across all allocations.
@@ -265,9 +241,6 @@ impl AllocEngine {
         assert!(max_paths > 0, "candidate-path budget must be at least 1");
         AllocEngine {
             slot,
-            max_paths,
-            mode: AllocMode::Fast,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             occupancy: Vec::new(),
             cache: PathCache::new(max_paths),
             scratch: IntervalSet::new(),
@@ -289,23 +262,6 @@ impl AllocEngine {
         self.slot
     }
 
-    /// The active allocation mode.
-    #[inline]
-    pub fn mode(&self) -> AllocMode {
-        self.mode
-    }
-
-    /// Switches between the fast and legacy Alg. 2 inner loops.
-    pub fn set_mode(&mut self, mode: AllocMode) {
-        self.mode = mode;
-    }
-
-    /// Candidate count at which parallel evaluation kicks in (tests use a
-    /// low threshold to force the parallel path on small topologies).
-    pub fn set_parallel_threshold(&mut self, threshold: usize) {
-        self.parallel_threshold = threshold.max(1);
-    }
-
     /// The path cache (for inspection in tests).
     #[inline]
     pub fn path_cache(&self) -> &PathCache {
@@ -318,22 +274,17 @@ impl AllocEngine {
     /// path enumeration. Purely a cache warm-up — allocation results
     /// are bit-identical with or without it.
     pub fn warm_paths(&mut self, topo: &Topology) {
-        self.ensure_topology(topo);
-        self.cache.warm(topo);
+        self.warm_paths_filtered(topo, |_| true);
     }
 
-    /// [`warm_paths`](Self::warm_paths) restricted to one pod
-    /// ([`PathCache::warm_pod`]): a per-pod shard engine only allocates
-    /// pod-local flows, so it skips the (dominant at k=32) cross-pod
-    /// pair enumerations and bring-up can warm pods in parallel.
-    pub fn warm_paths_pod(
-        &mut self,
-        topo: &Topology,
-        pods: &taps_topology::pods::PodMap,
-        pod: taps_topology::pods::PodId,
-    ) {
+    /// [`warm_paths`](Self::warm_paths) restricted to the ToR pairs
+    /// whose hosts pass `keep_host` ([`PathCache::warm_filtered`]). A
+    /// workload that only ever routes inside one pod warms that pod
+    /// alone instead of every ToR pair (about 261k ordered pairs at
+    /// k=32).
+    pub fn warm_paths_filtered(&mut self, topo: &Topology, keep_host: impl Fn(usize) -> bool) {
         self.ensure_topology(topo);
-        self.cache.warm_pod(topo, pods, pod);
+        self.cache.warm_filtered(topo, keep_host);
     }
 
     /// Candidate paths for a host-index pair straight from the engine's
@@ -400,30 +351,6 @@ impl AllocEngine {
         slots_for(self.slot, bytes, bottleneck)
     }
 
-    /// Alg. 3 — `TimeAllocation(p, f)`: slices for `remaining` bytes on
-    /// `path`, starting no earlier than `start_slot`, given current
-    /// occupancy. Returns `(slices, completion_slot)`.
-    pub fn time_allocation(
-        &self,
-        topo: &Topology,
-        path: &Path,
-        remaining: f64,
-        start_slot: u64,
-    ) -> (IntervalSet, u64) {
-        let mut t_ocp = IntervalSet::new();
-        for l in &path.links {
-            t_ocp = t_ocp.union(&self.occupancy[l.idx()]);
-        }
-        let e = self.slots_needed(remaining, path.bottleneck(topo));
-        let slices = t_ocp
-            .allocate_first_free(start_slot, e)
-            // lint: panic-ok(invariant: the idle tail is infinite, so E >= 1 slots are always allocatable)
-            .expect("E >= 1 slots always allocatable");
-        // lint: panic-ok(invariant: E >= 1 makes the allocation non-empty)
-        let completion = slices.max_end().expect("non-empty allocation");
-        (slices, completion)
-    }
-
     /// Alg. 2 — `PathCalculation` for a single flow: tries every candidate
     /// path, keeps the earliest-completing one, commits its slices to the
     /// path's links and returns the allocation. Fails with
@@ -436,23 +363,11 @@ impl AllocEngine {
         demand: &FlowDemand,
         start_slot: u64,
     ) -> Result<FlowAlloc, AllocError> {
-        match self.mode {
-            AllocMode::Fast => self.allocate_flow_fast(topo, demand, start_slot),
-            AllocMode::Legacy => self.allocate_flow_legacy(topo, demand, start_slot),
-        }
-    }
-
-    fn allocate_flow_fast(
-        &mut self,
-        topo: &Topology,
-        demand: &FlowDemand,
-        start_slot: u64,
-    ) -> Result<FlowAlloc, AllocError> {
         self.search_and_commit(topo, demand, start_slot)
             .map(|(_, _, al)| al)
     }
 
-    /// The fast Alg. 2 inner loop for one flow: candidate ranking,
+    /// The Alg. 2 inner loop for one flow: candidate ranking,
     /// winner materialization, occupancy commit. Also returns the
     /// candidate list and the winning index so the delta re-allocation
     /// engine can cache them without re-deriving the winner.
@@ -509,129 +424,76 @@ impl AllocEngine {
         let slot = self.slot;
 
         // Rank candidates by completion slot; ties go to the lowest
-        // candidate index, exactly like the sequential first-wins scan.
-        let best: (u64, usize) = if candidates.len() >= self.parallel_threshold {
-            let occupancy = &self.occupancy;
-            let n = candidates.len();
-            let workers = std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-                .min(n)
-                .min(8);
-            // Global incumbent completion; candidates that cannot beat
-            // *or tie* it are pruned. Ties must survive so the final
-            // (completion, index) reduction can restore the sequential
-            // first-wins order deterministically.
-            let best_seen = AtomicU64::new(u64::MAX);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let candidates = &candidates;
-                        let best_seen = &best_seen;
-                        s.spawn(move || {
-                            let mut local: Option<(u64, usize)> = None;
-                            let mut i = w;
-                            while i < n {
-                                let p = &candidates[i];
-                                let e = slots_for(slot, remaining, p.bottleneck(topo));
-                                // lint: l9-ok(Relaxed: the bound is a monotone pruning hint, a stale read only costs wasted work, never a wrong result)
-                                let bound = best_seen.load(Ordering::Relaxed);
-                                if let Some(c) =
-                                    first_fit_links(occupancy, &p.links, start_slot, e, bound)
-                                {
-                                    // lint: l9-ok(Relaxed: fetch_min keeps the bound monotone nonincreasing, determinism comes from the final min reduction over worker results)
-                                    best_seen.fetch_min(c, Ordering::Relaxed);
-                                    if local.is_none_or(|b| (c, i) < b) {
-                                        local = Some((c, i));
-                                    }
-                                }
-                                i += workers;
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint: panic-ok(worker panic is unrecoverable; propagate it to the caller)
-                    .filter_map(|h| h.join().expect("candidate evaluation thread panicked"))
-                    .min()
-                    // lint: panic-ok(invariant: every candidate finds a fit in the infinite idle tail)
-                    .expect("at least one candidate completes (idle tail is infinite)")
-            })
-        } else {
-            // Every candidate for a host pair traverses the same two
-            // access links, which also carry the densest occupancy (all
-            // of the pair's flows cross them). Merge those once per
-            // search so each per-candidate sweep walks the access
-            // intervals a single time instead of once per candidate.
-            let shared_access = candidates.len() > 1 && {
-                let f = &candidates[0].links;
-                f.len() >= 2
-                    && candidates[1..].iter().all(|p| {
-                        p.links.len() >= 2 && p.links[0] == f[0] && p.links.last() == f.last()
-                    })
-            };
-            if shared_access {
-                let f = &candidates[0].links;
-                union_path(&self.occupancy, &[f[0], f[f.len() - 1]], &mut self.scratch);
-            }
-            let shared = shared_access.then_some(&self.scratch);
-            let occupancy = &self.occupancy;
-            let rank = |p: &Path, e: u64, bound: u64| -> Option<u64> {
-                match shared {
-                    Some(s) => first_fit_shared(
-                        s,
-                        occupancy,
-                        &p.links[1..p.links.len() - 1],
-                        start_slot,
-                        e,
-                        bound,
-                    ),
-                    None => first_fit_links(occupancy, &p.links, start_slot, e, bound),
-                }
-            };
-            let mut best: Option<(u64, usize)> = None;
-            if let Some(si) = seed.filter(|&si| si < candidates.len()) {
-                let p = &candidates[si];
-                let e = slots_for(slot, remaining, p.bottleneck(topo));
-                if let Some(c) = rank(p, e, u64::MAX) {
-                    best = Some((c, si));
-                }
-            }
-            for (i, p) in candidates.iter().enumerate() {
-                if Some(i) == seed {
-                    continue;
-                }
-                let e = slots_for(slot, remaining, p.bottleneck(topo));
-                // The bound preserves the exact (completion, index)
-                // first-wins order: a candidate below the incumbent's
-                // index may tie it, one above must strictly beat it.
-                // Unseeded, the incumbent's index is always below `i`,
-                // which reduces to the plain strictly-better rule.
-                let bound = match best {
-                    None => u64::MAX,
-                    Some((c, bi)) => {
-                        if i < bi {
-                            c
-                        } else {
-                            c.saturating_sub(1)
-                        }
-                    }
-                };
-                if let Some(c) = rank(p, e, bound) {
-                    best = Some((c, i));
-                }
-            }
-            // lint: panic-ok(invariant: every candidate finds a fit in the infinite idle tail)
-            best.expect("at least one candidate completes (idle tail is infinite)")
+        // candidate index (first wins). Every candidate for a host pair
+        // traverses the same two access links, which also carry the
+        // densest occupancy (all of the pair's flows cross them). Merge
+        // those once per search so each per-candidate sweep walks the
+        // access intervals a single time instead of once per candidate.
+        let shared_access = candidates.len() > 1 && {
+            let f = &candidates[0].links;
+            f.len() >= 2
+                && candidates[1..]
+                    .iter()
+                    .all(|p| p.links.len() >= 2 && p.links[0] == f[0] && p.links.last() == f.last())
         };
-
-        // Materialize the slices for the winner only.
-        let (completion_slot, idx) = best;
+        if shared_access {
+            let f = &candidates[0].links;
+            union_path(&self.occupancy, &[f[0], f[f.len() - 1]], &mut self.scratch);
+        }
+        let shared = shared_access.then_some(&self.scratch);
+        let occupancy = &self.occupancy;
+        let rank = |p: &Path, e: u64, bound: u64| -> Option<u64> {
+            match shared {
+                Some(s) => first_fit_shared(
+                    s,
+                    occupancy,
+                    &p.links[1..p.links.len() - 1],
+                    start_slot,
+                    e,
+                    bound,
+                ),
+                None => first_fit_links(occupancy, &p.links, start_slot, e, bound),
+            }
+        };
+        let mut best: Option<(u64, usize)> = None;
+        if let Some(si) = seed.filter(|&si| si < candidates.len()) {
+            let p = &candidates[si];
+            let e = slots_for(slot, remaining, p.bottleneck(topo));
+            if let Some(c) = rank(p, e, u64::MAX) {
+                best = Some((c, si));
+            }
+        }
+        for (i, p) in candidates.iter().enumerate() {
+            if Some(i) == seed {
+                continue;
+            }
+            let e = slots_for(slot, remaining, p.bottleneck(topo));
+            // The bound preserves the exact (completion, index)
+            // first-wins order: a candidate below the incumbent's
+            // index may tie it, one above must strictly beat it.
+            // Unseeded, the incumbent's index is always below `i`,
+            // which reduces to the plain strictly-better rule.
+            let bound = match best {
+                None => u64::MAX,
+                Some((c, bi)) => {
+                    if i < bi {
+                        c
+                    } else {
+                        c.saturating_sub(1)
+                    }
+                }
+            };
+            if let Some(c) = rank(p, e, bound) {
+                best = Some((c, i));
+            }
+        }
+        // lint: panic-ok(invariant: every candidate finds a fit in the infinite idle tail)
+        let (completion_slot, idx) = best.expect("every candidate fits in the idle tail");
         // lint: cast-ok(candidate counts are bounded by max_paths, far below 2^64)
         self.counters.paths_tried += candidates.len() as u64;
         self.counters.slots_scanned += completion_slot.saturating_sub(start_slot) + 1;
+
+        // Materialize the slices for the winner only.
         let path = candidates[idx].clone();
         let e = slots_for(slot, remaining, path.bottleneck(topo));
         union_path(&self.occupancy, &path.links, &mut self.scratch);
@@ -644,41 +506,6 @@ impl AllocEngine {
         self.commit_slices(&path.links, &slices);
         let al = self.finish(demand, path, slices, completion_slot);
         Ok((candidates, idx, al))
-    }
-
-    fn allocate_flow_legacy(
-        &mut self,
-        topo: &Topology,
-        demand: &FlowDemand,
-        start_slot: u64,
-    ) -> Result<FlowAlloc, AllocError> {
-        let pf = PathFinder::new(topo);
-        let src = topo.host(demand.src);
-        let dst = topo.host(demand.dst);
-        let candidates = pf.paths(src, dst, self.max_paths);
-        if candidates.is_empty() {
-            return Err(AllocError::Disconnected { flow: demand.id });
-        }
-
-        let mut best: Option<(IntervalSet, u64, Path)> = None;
-        // lint: cast-ok(candidate counts are bounded by max_paths, far below 2^64)
-        let num_candidates = candidates.len() as u64;
-        for p in candidates {
-            let (slices, completion) = self.time_allocation(topo, &p, demand.remaining, start_slot);
-            let better = match &best {
-                None => true,
-                Some((_, c, _)) => completion < *c,
-            };
-            if better {
-                best = Some((slices, completion, p));
-            }
-        }
-        // lint: panic-ok(invariant: candidate path sets checked non-empty above)
-        let (slices, completion_slot, path) = best.expect("at least one candidate");
-        self.counters.paths_tried += num_candidates;
-        self.counters.slots_scanned += completion_slot.saturating_sub(start_slot) + 1;
-        self.commit_slices(&path.links, &slices);
-        Ok(self.finish(demand, path, slices, completion_slot))
     }
 
     pub(crate) fn finish(
@@ -745,8 +572,8 @@ impl<'t> SlotAllocator<'t> {
         SlotAllocator { topo, engine }
     }
 
-    /// The underlying engine (mode / threshold switches in tests and
-    /// benches).
+    /// The underlying engine (fault absorption and work counters in
+    /// tests and benches).
     pub fn engine_mut(&mut self) -> &mut AllocEngine {
         &mut self.engine
     }
@@ -784,19 +611,6 @@ impl<'t> SlotAllocator<'t> {
     /// given bottleneck capacity.
     pub fn slots_needed(&self, bytes: f64, bottleneck: f64) -> u64 {
         self.engine.slots_needed(bytes, bottleneck)
-    }
-
-    /// Alg. 3 — `TimeAllocation(p, f)`: slices for `remaining` bytes on
-    /// `path`, starting no earlier than `start_slot`, given current
-    /// occupancy. Returns `(slices, completion_slot)`.
-    pub fn time_allocation(
-        &self,
-        path: &Path,
-        remaining: f64,
-        start_slot: u64,
-    ) -> (IntervalSet, u64) {
-        self.engine
-            .time_allocation(self.topo, path, remaining, start_slot)
     }
 
     /// Alg. 2 — `PathCalculation` for a single flow: tries every candidate
@@ -849,6 +663,7 @@ impl<'t> SlotAllocator<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::reference_allocate_batch;
     use taps_topology::build::{dumbbell, fat_tree, fig3_star, GBPS};
 
     fn demand(id: usize, src: usize, dst: usize, remaining: f64, deadline: f64) -> FlowDemand {
@@ -1025,11 +840,10 @@ mod tests {
         assert_eq!(al.completion_slot, 8);
     }
 
-    /// Same batch, all three engine configurations: fast-sequential,
-    /// fast-parallel (threshold forced to 1) and legacy must agree on
-    /// every path, slice set and completion slot.
+    /// The engine and the plain reference loop must agree on every
+    /// path, slice set and completion slot of the same batch.
     #[test]
-    fn fast_parallel_and_legacy_agree_bit_for_bit() {
+    fn engine_matches_reference_bit_for_bit() {
         let topo = fat_tree(4, GBPS);
         let demands: Vec<FlowDemand> = (0..24)
             .map(|i| {
@@ -1044,23 +858,17 @@ mod tests {
             .filter(|d| d.src != d.dst)
             .collect();
 
-        let run = |mode: AllocMode, threshold: usize| {
-            let mut a = SlotAllocator::new(&topo, 0.0001, 16);
-            a.engine_mut().set_mode(mode);
-            a.engine_mut().set_parallel_threshold(threshold);
-            a.allocate_batch(&demands, 3).unwrap()
-        };
-        let legacy = run(AllocMode::Legacy, usize::MAX);
-        let fast_seq = run(AllocMode::Fast, usize::MAX);
-        let fast_par = run(AllocMode::Fast, 1);
-        for ((l, s), p) in legacy.iter().zip(&fast_seq).zip(&fast_par) {
-            assert_eq!(l.path, s.path, "flow {}", l.id);
-            assert_eq!(l.slices, s.slices, "flow {}", l.id);
-            assert_eq!(l.completion_slot, s.completion_slot);
-            assert_eq!(l.on_time, s.on_time);
-            assert_eq!(s.path, p.path, "parallel diverged on flow {}", s.id);
-            assert_eq!(s.slices, p.slices);
-            assert_eq!(s.completion_slot, p.completion_slot);
+        let reference = reference_allocate_batch(&topo, &demands, 3, 0.0001, 16).unwrap();
+        let engine = SlotAllocator::new(&topo, 0.0001, 16)
+            .allocate_batch(&demands, 3)
+            .unwrap();
+        assert_eq!(reference.len(), engine.len());
+        for (r, e) in reference.iter().zip(&engine) {
+            assert_eq!(r.id, e.id);
+            assert_eq!(r.path, e.path, "flow {}", r.id);
+            assert_eq!(r.slices, e.slices, "flow {}", r.id);
+            assert_eq!(r.completion_slot, e.completion_slot);
+            assert_eq!(r.on_time, e.on_time);
         }
     }
 
@@ -1094,9 +902,10 @@ mod tests {
         }
         assert_eq!(a.engine_mut().path_cache().enumerations(), 1);
     }
-    /// Link failures make candidate sets empty: both engine modes must
-    /// report `Disconnected` instead of panicking, and recover after the
-    /// cable is restored (epoch-based cache invalidation).
+    /// Link failures make candidate sets empty: the engine and the
+    /// reference loop must both report `Disconnected` instead of
+    /// panicking, and the engine recovers after the cable is restored
+    /// (epoch-based cache invalidation).
     #[test]
     fn disconnected_endpoints_yield_structured_error() {
         let topo = dumbbell(1, 1, GBPS);
@@ -1111,19 +920,16 @@ mod tests {
             .links[1];
         topo.fail_link(cross);
         a.reset();
-        for mode in [AllocMode::Fast, AllocMode::Legacy] {
-            a.engine_mut().set_mode(mode);
-            let err = a
-                .allocate_flow(&demand(2, 0, 1, 125_000.0, 1.0), 0)
-                .unwrap_err();
-            assert_eq!(err, AllocError::Disconnected { flow: 2 }, "{mode:?}");
-            let err = a
-                .allocate_batch(&[demand(3, 0, 1, 1.0, 1.0)], 0)
-                .unwrap_err();
-            assert_eq!(err, AllocError::Disconnected { flow: 3 });
-        }
+        let err = a
+            .allocate_flow(&demand(2, 0, 1, 125_000.0, 1.0), 0)
+            .unwrap_err();
+        assert_eq!(err, AllocError::Disconnected { flow: 2 });
+        let batch = [demand(3, 0, 1, 1.0, 1.0)];
+        let err = a.allocate_batch(&batch, 0).unwrap_err();
+        assert_eq!(err, AllocError::Disconnected { flow: 3 });
+        let err = reference_allocate_batch(&topo, &batch, 0, 0.001, 4).unwrap_err();
+        assert_eq!(err, AllocError::Disconnected { flow: 3 });
         topo.restore_link(cross);
-        a.engine_mut().set_mode(AllocMode::Fast);
         let al = a
             .allocate_flow(&demand(4, 0, 1, 125_000.0, 1.0), 0)
             .unwrap();

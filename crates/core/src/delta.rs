@@ -42,8 +42,7 @@
 //!    sends just that flow through the ordinary search.
 
 use crate::alloc::{
-    first_fit_links, slots_for, union_path, AllocEngine, AllocError, AllocMode, FlowAlloc,
-    FlowDemand,
+    first_fit_links, slots_for, union_path, AllocEngine, AllocError, FlowAlloc, FlowDemand,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -247,9 +246,6 @@ impl AllocEngine {
     /// [`reset`](Self::reset) first (doing so is harmless, merely
     /// wasted work).
     ///
-    /// In [`AllocMode::Legacy`] the cache is bypassed (and invalidated):
-    /// the legacy loop exists as the unoptimized baseline.
-    ///
     /// [`allocate_batch`]: Self::allocate_batch
     // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch in taps_core::admission before it is committed)
     pub fn allocate_batch_delta(
@@ -260,11 +256,6 @@ impl AllocEngine {
         cache: &mut DeltaCache,
     ) -> Result<Vec<FlowAlloc>, AllocError> {
         self.ensure_topology(topo);
-        if self.mode() != AllocMode::Fast {
-            cache.valid = false;
-            self.reset();
-            return self.allocate_batch(topo, demands, start_slot);
-        }
         let usable = cache.valid
             && cache.topo_name == topo.name
             && cache.epoch == topo.epoch()
@@ -598,14 +589,14 @@ impl AllocEngine {
     ///   flows translated over the vacated capacity stay sound.
     ///
     /// Finally the cache is re-stamped to the current epoch. Returns
-    /// `false` when there was nothing to absorb into (invalid cache,
-    /// different topology, or a non-[`AllocMode::Fast`] engine) — the
-    /// next batch then falls back as before. Bit-identity with the full
-    /// pass is unchanged (the `validate`-feature debug cross-check still
-    /// re-verifies every subsequent batch).
+    /// `false` when there was nothing to absorb into (invalid cache or a
+    /// different topology) — the next batch then falls back as before.
+    /// Bit-identity with the full pass is unchanged (the
+    /// `validate`-feature debug cross-check still re-verifies every
+    /// subsequent batch).
     pub fn absorb_fault_epoch(&mut self, topo: &Topology, cache: &mut DeltaCache) -> bool {
         self.ensure_topology(topo);
-        if !cache.valid || cache.topo_name != topo.name || self.mode() != AllocMode::Fast {
+        if !cache.valid || cache.topo_name != topo.name {
             return false;
         }
         let epoch = topo.epoch();
@@ -863,32 +854,6 @@ mod tests {
         assert_eq!(cache.stats().full_fallbacks, 3, "priority order changed");
     }
 
-    /// Legacy mode bypasses and invalidates the cache.
-    #[test]
-    fn legacy_mode_bypasses_cache() {
-        let topo = dumbbell(2, 2, GBPS);
-        let demands = vec![
-            demand(0, 0, 2, 125_000.0, 1.0),
-            demand(1, 1, 3, 125_000.0, 1.0),
-        ];
-        let mut a = SlotAllocator::new(&topo, 0.001, 4);
-        let mut cache = DeltaCache::new();
-        a.allocate_batch_delta(&demands, 0, &mut cache).unwrap();
-        assert_eq!(cache.stats().full_fallbacks, 1);
-
-        a.engine_mut().set_mode(AllocMode::Legacy);
-        let mut reference = SlotAllocator::new(&topo, 0.001, 4);
-        reference.engine_mut().set_mode(AllocMode::Legacy);
-        let want = reference.allocate_batch(&demands, 1).unwrap();
-        let got = a.allocate_batch_delta(&demands, 1, &mut cache).unwrap();
-        assert_allocs_eq(&want, &got);
-
-        // Back to fast: the invalidated cache must rebuild, not reuse.
-        a.engine_mut().set_mode(AllocMode::Fast);
-        a.allocate_batch_delta(&demands, 2, &mut cache).unwrap();
-        assert_eq!(cache.stats().full_fallbacks, 2);
-    }
-
     /// A zero threshold degrades the pass to full search as soon as any
     /// flow needs searching; allocations still match the full pass.
     #[test]
@@ -965,7 +930,7 @@ mod tests {
     }
 
     /// Absorption is a no-op (but reports success) when the epoch never
-    /// moved, and declines on an invalid cache or a legacy-mode engine.
+    /// moved, and declines on an invalid cache.
     #[test]
     fn absorb_edge_cases() {
         let topo = fat_tree(4, GBPS);
@@ -979,10 +944,6 @@ mod tests {
         a.allocate_batch_delta(&demands, 0, &mut cache).unwrap();
         assert!(a.engine_mut().absorb_fault_epoch(&topo, &mut cache));
         assert_eq!(cache.stats().absorbed_epochs, 0, "same epoch: no work");
-
-        a.engine_mut().set_mode(AllocMode::Legacy);
-        assert!(!a.engine_mut().absorb_fault_epoch(&topo, &mut cache));
-        a.engine_mut().set_mode(AllocMode::Fast);
 
         cache.invalidate();
         assert!(!a.engine_mut().absorb_fault_epoch(&topo, &mut cache));

@@ -6,7 +6,8 @@
 //! re-allocates *all* in-flight flows plus the newcomer's flows in
 //! EDF-then-SJF order onto per-link slotted timelines — at most one flow
 //! occupies a link during a slot — choosing for each flow the candidate
-//! path that completes it earliest (Alg. 2, [`alloc::SlotAllocator`]), with
+//! path that completes it earliest (Alg. 2, [`alloc::AllocEngine`], with
+//! [`delta`] reusing the previous pass's unchanged placements), with
 //! slice placement by first-fit over the union of the path's occupancy
 //! sets (Alg. 3, `taps-timeline`). A **reject rule** then admits the task,
 //! rejects it, or *discards* (preempts) a worse-off in-flight task. That
@@ -20,6 +21,8 @@
 //!
 //! The allocation problem itself is NP-hard (reduction from Hamiltonian
 //! Circuit, §IV-B) — reproduced and machine-checked in [`hardness`].
+//! [`oracle`] holds the references the tests measure against: an exact
+//! single-link optimum and the plain, unoptimized Alg. 2/3 loop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,17 +35,12 @@ pub mod hardness;
 mod obs;
 pub mod oracle;
 mod scheduler;
-pub mod shard;
 pub mod validate;
 
 pub use admission::{Admission, DropReason, FlowView, RejectDecision, RejectPolicy};
-pub use alloc::{
-    AllocCounters, AllocEngine, AllocError, AllocMode, FlowAlloc, FlowDemand, SlotAllocator,
-    DEFAULT_PARALLEL_THRESHOLD,
-};
+pub use alloc::{AllocCounters, AllocEngine, AllocError, FlowAlloc, FlowDemand, SlotAllocator};
 pub use analysis::{analyze, gantt_for_link, ScheduleAnalysis};
 pub use delta::{DeltaCache, DeltaStats};
 pub use oracle::SingleLinkOracle;
 pub use scheduler::{Taps, TapsConfig};
-pub use shard::ShardedAllocator;
 pub use validate::{Violation, ViolationReport};

@@ -1,16 +1,82 @@
-//! An exact (exponential-time) oracle for small task-scheduling
-//! instances, used to measure how close TAPS's heuristic gets to the
-//! optimum the paper proves NP-hard (§IV-B).
+//! Reference implementations that tests and benches measure the
+//! shipped scheduler against. No scheduler calls anything here.
 //!
-//! Scope: all flows of an instance share one bottleneck link (the
-//! motivation-example setting). On a single preemptive link, a set of
-//! flows with release times (task arrivals) and deadlines is feasible
-//! **iff** the *processor demand criterion* holds: for every window
-//! `[s, e]` with `s` a release and `e` a deadline, the total work of
-//! flows entirely inside the window fits in `e − s`. The oracle then
-//! maximizes the number (or total size) of tasks over all task subsets.
+//! * [`SingleLinkOracle`] — an exact (exponential-time) optimizer for
+//!   small task-scheduling instances, used to measure how close TAPS's
+//!   heuristic gets to the optimum the paper proves NP-hard (§IV-B).
+//!   Scope: all flows of an instance share one bottleneck link (the
+//!   motivation-example setting). On a single preemptive link, a set of
+//!   flows with release times (task arrivals) and deadlines is feasible
+//!   **iff** the *processor demand criterion* holds: for every window
+//!   `[s, e]` with `s` a release and `e` a deadline, the total work of
+//!   flows entirely inside the window fits in `e − s`. The oracle then
+//!   maximizes the number (or total size) of tasks over all task subsets.
+//! * [`reference_allocate_batch`] — Alg. 2/3 written the plain way the
+//!   paper states them, the bit-for-bit reference for
+//!   [`AllocEngine`](crate::AllocEngine).
 
+use crate::alloc::{slots_for, AllocError, FlowAlloc, FlowDemand};
 use taps_flowsim::Workload;
+use taps_timeline::{slots, IntervalSet};
+use taps_topology::paths::PathFinder;
+use taps_topology::{Path, Topology};
+
+/// Alg. 2/3 for a priority-ordered batch on empty occupancy, written
+/// the plain way: for every flow, re-enumerate its candidate paths with
+/// [`PathFinder`], union each candidate's per-link occupancy into
+/// `T_ocp`, first-fit the flow's `E` slots into its complement, keep the
+/// earliest-completing candidate (first wins on ties) and commit it.
+///
+/// This is the independent reference the tests and the admission bench
+/// hold [`AllocEngine::allocate_batch`](crate::AllocEngine::allocate_batch)
+/// to, bit for bit. No scheduler calls it: `Admission`, `Taps` and the
+/// SDN controller all run the engine. Fails with
+/// [`AllocError::Disconnected`] on the first flow with no candidate path.
+pub fn reference_allocate_batch(
+    topo: &Topology,
+    demands: &[FlowDemand],
+    start_slot: u64,
+    slot: f64,
+    max_paths: usize,
+) -> Result<Vec<FlowAlloc>, AllocError> {
+    let pf = PathFinder::new(topo);
+    let mut occupancy = vec![IntervalSet::new(); topo.num_links()];
+    let mut out = Vec::with_capacity(demands.len());
+    for d in demands {
+        let mut best: Option<(u64, IntervalSet, Path)> = None;
+        for p in pf.paths(topo.host(d.src), topo.host(d.dst), max_paths) {
+            let mut t_ocp = IntervalSet::new();
+            for l in &p.links {
+                t_ocp = t_ocp.union(&occupancy[l.idx()]);
+            }
+            let e = slots_for(slot, d.remaining, p.bottleneck(topo));
+            // The idle tail is infinite, so E >= 1 slots always fit.
+            let fit = t_ocp
+                .allocate_first_free(start_slot, e)
+                .and_then(|s| Some((s.max_end()?, s)));
+            if let Some((completion, slices)) = fit {
+                if best.as_ref().is_none_or(|(c, _, _)| completion < *c) {
+                    best = Some((completion, slices, p));
+                }
+            }
+        }
+        let Some((completion_slot, slices, path)) = best else {
+            return Err(AllocError::Disconnected { flow: d.id });
+        };
+        for l in &path.links {
+            occupancy[l.idx()].insert_set(&slices);
+        }
+        out.push(FlowAlloc {
+            id: d.id,
+            path,
+            slices,
+            completion_slot,
+            deadline: d.deadline,
+            on_time: slots::to_f64(completion_slot) * slot <= d.deadline + 1e-9,
+        });
+    }
+    Ok(out)
+}
 
 /// One flow projected onto the shared bottleneck.
 #[derive(Clone, Debug)]

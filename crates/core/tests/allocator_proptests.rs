@@ -3,7 +3,8 @@
 //! per flow, and monotone under added contention.
 
 use proptest::prelude::*;
-use taps_core::{AllocMode, FlowDemand, SlotAllocator};
+use taps_core::oracle::reference_allocate_batch;
+use taps_core::{FlowDemand, SlotAllocator};
 use taps_timeline::IntervalSet;
 use taps_topology::build::{fat_tree, single_rooted, GBPS};
 use taps_topology::Topology;
@@ -118,35 +119,24 @@ proptest! {
     }
 
     #[test]
-    fn fast_modes_and_legacy_agree_bit_for_bit(
+    fn engine_matches_reference_bit_for_bit(
         demands in arb_demands(16),
         start in 0u64..200,
     ) {
-        // The fast engine (cached paths, scratch buffers, bound pruning)
-        // must reproduce the legacy schedule exactly — sequentially AND
-        // with parallel candidate evaluation forced on (threshold 1),
-        // where ties must still resolve to the lowest candidate index.
+        // The engine (cached paths, scratch buffers, bound pruning) must
+        // reproduce the plain reference loop exactly, including ties,
+        // which both resolve to the lowest candidate index.
         let topo = fat_tree(4, GBPS);
-        let run = |mode: AllocMode, threshold: usize| {
-            let mut a = SlotAllocator::new(&topo, 0.001, 16);
-            a.engine_mut().set_mode(mode);
-            a.engine_mut().set_parallel_threshold(threshold);
-            a.allocate_batch(&demands, start).unwrap()
-        };
-        let legacy = run(AllocMode::Legacy, usize::MAX);
-        let sequential = run(AllocMode::Fast, usize::MAX);
-        let parallel = run(AllocMode::Fast, 1);
-        for (l, s) in legacy.iter().zip(&sequential) {
-            prop_assert_eq!(&l.path, &s.path);
-            prop_assert_eq!(&l.slices, &s.slices);
-            prop_assert_eq!(l.completion_slot, s.completion_slot);
-            prop_assert_eq!(l.on_time, s.on_time);
-        }
-        for (l, p) in legacy.iter().zip(&parallel) {
-            prop_assert_eq!(&l.path, &p.path);
-            prop_assert_eq!(&l.slices, &p.slices);
-            prop_assert_eq!(l.completion_slot, p.completion_slot);
-            prop_assert_eq!(l.on_time, p.on_time);
+        let reference = reference_allocate_batch(&topo, &demands, start, 0.001, 16).unwrap();
+        let engine = SlotAllocator::new(&topo, 0.001, 16)
+            .allocate_batch(&demands, start)
+            .unwrap();
+        prop_assert_eq!(reference.len(), engine.len());
+        for (r, e) in reference.iter().zip(&engine) {
+            prop_assert_eq!(&r.path, &e.path);
+            prop_assert_eq!(&r.slices, &e.slices);
+            prop_assert_eq!(r.completion_slot, e.completion_slot);
+            prop_assert_eq!(r.on_time, e.on_time);
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! [`RingRecorder`] is a fixed-capacity array of event slots claimed with
 //! a single `fetch_add` — emission is wait-free, allocation-free, and
-//! safe to call from the parallel allocator threads. When the buffer is
+//! safe to call from any number of emitting threads. When the buffer is
 //! full, new events are **dropped** (drop-newest) and counted, never
 //! silently lost: the golden-trace suite and `cargo xtask trace` assert
 //! `dropped() == 0`, so capacity problems surface as test failures

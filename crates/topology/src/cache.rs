@@ -111,22 +111,12 @@ impl PathCache {
         self.warm_filtered(topo, |_| true);
     }
 
-    /// [`warm`](Self::warm) restricted to one pod: only ordered ToR pairs
-    /// whose representative hosts both live in `pod` are pre-enumerated.
-    /// A per-pod shard engine only ever allocates pod-local flows, so
-    /// warming the cross-pod pairs (the bulk at k=32: 512 ToRs give
-    /// ~261k ordered pairs against 240 per pod) would be wasted work —
-    /// and doing it per shard lets bring-up run pods in parallel.
-    pub fn warm_pod(
-        &mut self,
-        topo: &Topology,
-        pods: &crate::pods::PodMap,
-        pod: crate::pods::PodId,
-    ) {
-        self.warm_filtered(topo, |h| pods.host_pod(h) == pod);
-    }
-
-    fn warm_filtered(&mut self, topo: &Topology, keep_host: impl Fn(usize) -> bool) {
+    /// [`warm`](Self::warm) restricted to the ToRs of the hosts (by
+    /// [`Topology::host`] index) that `keep_host` accepts: only ordered
+    /// pairs of those ToRs are pre-enumerated. A workload that only
+    /// routes inside one fat-tree pod warms that pod alone — at k=32 the
+    /// 512 ToRs give ~261k ordered pairs against 240 per pod.
+    pub fn warm_filtered(&mut self, topo: &Topology, keep_host: impl Fn(usize) -> bool) {
         if topo.routing != RoutingMode::UpDown {
             return;
         }
@@ -279,6 +269,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A pod-scoped warm enumerates only that pod's ToR pairs, and the
+    /// lists it leaves behind are the direct enumeration's.
+    #[test]
+    fn filtered_warm_covers_only_kept_tor_pairs() {
+        let topo = fat_tree(4, GBPS);
+        let mut cache = PathCache::new(16);
+        // Fat-tree hosts are pod-major: pod 0 is hosts 0..4 on two ToRs.
+        cache.warm_filtered(&topo, |h| h / 4 == 0);
+        assert_eq!(cache.enumerations(), 2, "two ordered ToR pairs in pod 0");
+        let got = cache.paths(&topo, topo.host(0), topo.host(3));
+        assert_eq!(*got, direct(&topo, 0, 3, 16));
+        assert_eq!(cache.enumerations(), 2, "pod-local lookup is a hit");
+        cache.paths(&topo, topo.host(0), topo.host(8));
+        assert_eq!(cache.enumerations(), 3, "cross-pod pair was not warmed");
     }
 
     #[test]

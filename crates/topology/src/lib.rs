@@ -25,7 +25,6 @@
 pub mod build;
 pub mod cache;
 pub mod paths;
-pub mod pods;
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -205,7 +204,7 @@ pub struct Topology {
     pub name: String,
     /// Per-directed-link up/down state for fault injection. Interior
     /// mutability (atomics) because the simulation engine, controller, and
-    /// the parallel allocation path all hold `&Topology`; faults are only
+    /// allocator all hold `&Topology`; faults are only
     /// applied between simulation events, never concurrently with path
     /// search, so `Relaxed` ordering suffices.
     link_up: Vec<AtomicBool>,

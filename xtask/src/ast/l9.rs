@@ -1,16 +1,17 @@
 //! L9 — per-site atomic memory-ordering allowlist.
 //!
-//! The workspace has exactly two lock-free paths: the wait-free
-//! observability ring (`crates/obs/src/ring.rs`) and the parallel
-//! candidate-evaluation pruning bound (`crates/core/src/alloc.rs`).
-//! Every `Ordering::X` use in those files must carry a
-//! `// lint: l9-ok(X: why)` marker on the same line or the line above,
-//! whose justification *names the ordering it defends*: the reason must
-//! start with `<Ordering>:` for one of the orderings at the site and
-//! mention every ordering used on the line, so weakening `Acquire` to
-//! `Relaxed` makes the stale justification visible in review instead of
-//! silently surviving. The paired `loom` models (`--features loom`)
-//! check the claims the justifications make.
+//! The workspace has one lock-free path: the wait-free observability
+//! ring (`crates/obs/src/ring.rs`). The allocator
+//! (`crates/core/src/alloc.rs`) stays in scope although it holds no
+//! atomics today, so any atomic added to the admission hot path needs a
+//! justified marker too. Every `Ordering::X` use in those files must
+//! carry a `// lint: l9-ok(X: why)` marker on the same line or the line
+//! above, whose justification *names the ordering it defends*: the
+//! reason must start with `<Ordering>:` for one of the orderings at the
+//! site and mention every ordering used on the line, so weakening
+//! `Acquire` to `Relaxed` makes the stale justification visible in
+//! review instead of silently surviving. The ring's paired `loom`
+//! models (`--features loom`) check the claims its justifications make.
 
 use super::model::Workspace;
 use crate::rules::Finding;

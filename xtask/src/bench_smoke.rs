@@ -2,20 +2,20 @@
 //!
 //! Runs `bench_admission` with a tiny configuration in release mode and
 //! fails if the fast or delta engine is *slower* than the paper-naive
-//! legacy pass (`speedup_p50 < 1.0`) at any benchmarked fat-tree size,
-//! or if any run's schedule diverged from the legacy schedule. The
-//! thresholds are deliberately loose — real speedups are an order of
-//! magnitude, so 1.0x only trips on a genuine hot-path regression (the
-//! PR 5 obs regression was 0.30x), never on CI machine noise.
+//! reference loop (`before_legacy`, timed through
+//! `taps_core::oracle::reference_allocate_batch`; `speedup_p50 < 1.0`)
+//! at any benchmarked fat-tree size, or if any run's schedule diverged
+//! from the reference schedule. The thresholds are deliberately loose —
+//! real speedups are an order of magnitude, so 1.0x only trips on a
+//! genuine hot-path regression (an earlier tracing-hook regression was
+//! 0.30x), never on CI machine noise.
 //!
-//! The paper-scale sharded section (fat-tree k=32, 8 192 hosts) is
-//! gated too: batched and sharded burst admission must not be slower
-//! than the per-task sequential loop (`< 1.0` fails), the sharded
-//! schedule must stay bit-identical to the monolithic pass
-//! (`schedules_identical`), and a second run of the identical
-//! configuration must reproduce the same `schedule_fingerprint` — the
-//! shard-determinism gate (shard count and thread interleaving must
-//! never leak into the schedule).
+//! The paper-scale burst section (fat-tree k=32, 8 192 hosts) is gated
+//! too: batched burst admission must not be slower than the per-task
+//! sequential loop (`< 1.0` fails), its schedule must stay bit-identical
+//! to the sequential one (`schedules_identical`), and a second run of
+//! the identical configuration must reproduce the same
+//! `schedule_fingerprint` — the determinism gate.
 
 use std::path::Path;
 use std::process::Command;
@@ -36,22 +36,20 @@ pub struct Row {
     pub speedup_p50_delta: f64,
 }
 
-/// Summary of the paper-scale sharded section for reporting.
-pub struct ShardedRow {
+/// Summary of the paper-scale burst section for reporting.
+pub struct BurstRow {
     /// Fat-tree parameter (32 → 8 192 hosts).
     pub k: u64,
     /// Batched burst admission over per-task sequential, mean.
     pub speedup_batched: f64,
-    /// Sharded burst admission over per-task sequential, mean.
-    pub speedup_sharded: f64,
-    /// Flow allocations committed per second of sharded wall-clock.
-    pub admissions_per_sec: f64,
+    /// Flow allocations committed per second of batched wall-clock.
+    pub flow_allocs_per_sec: f64,
 }
 
 /// Smoke arguments shared by both invocations of the determinism pair:
-/// the sharded section must see byte-identical parameters or the
+/// the burst section must see byte-identical parameters or the
 /// fingerprint comparison would be meaningless.
-const SHARDED_ARGS: [&str; 4] = ["--sharded-rounds", "4", "--sharded-batch", "32"];
+const BURST_ARGS: [&str; 4] = ["--burst-rounds", "4", "--burst-batch", "32"];
 
 fn run_bench(
     root: &Path,
@@ -79,7 +77,7 @@ fn run_bench(
             "--flows",
             "4",
         ])
-        .args(SHARDED_ARGS)
+        .args(BURST_ARGS)
         .arg("--out")
         .arg(out)
         .arg("--metrics-out")
@@ -108,7 +106,7 @@ fn run_bench(
 
 /// Runs the smoke benchmark in `root` and checks the gate. Returns the
 /// summary rows and every violation (empty = green).
-pub fn run(root: &Path) -> (Vec<Row>, Option<ShardedRow>, Vec<Failure>) {
+pub fn run(root: &Path) -> (Vec<Row>, Option<BurstRow>, Vec<Failure>) {
     let mut failures = Vec::new();
     let out_dir = root.join("target").join("bench-smoke");
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
@@ -138,10 +136,10 @@ pub fn run(root: &Path) -> (Vec<Row>, Option<ShardedRow>, Vec<Failure>) {
             what: "bench report contains no result rows".into(),
         });
     }
-    let sharded = check_sharded(&doc, &mut failures);
-    // Shard-determinism gate: replay the identical sharded configuration
-    // (the k≤16 part shrinks to a single arrival — it is not what this
-    // run checks) and require the same schedule fingerprint.
+    let burst = check_burst(&doc, &mut failures);
+    // Determinism gate: replay the identical burst configuration (the
+    // k≤16 part shrinks to a single arrival — it is not what this run
+    // checks) and require the same schedule fingerprint.
     match run_bench(
         root,
         "8",
@@ -152,67 +150,62 @@ pub fn run(root: &Path) -> (Vec<Row>, Option<ShardedRow>, Vec<Failure>) {
         Ok(rerun) => check_determinism(&doc, &rerun, &mut failures),
         Err(f) => failures.push(f),
     }
-    (rows, sharded, failures)
+    (rows, burst, failures)
 }
 
-/// The paper-scale sharded gate: both batched strategies must beat (or
-/// at worst match) the per-task sequential loop, and the sharded
-/// schedule must be bit-identical to the monolithic one.
-pub fn check_sharded(doc: &serde_json::Value, failures: &mut Vec<Failure>) -> Option<ShardedRow> {
-    let Some(row) = doc.get("sharded") else {
+/// The paper-scale burst gate: batched admission must beat (or at worst
+/// match) the per-task sequential loop, with a bit-identical schedule.
+pub fn check_burst(doc: &serde_json::Value, failures: &mut Vec<Failure>) -> Option<BurstRow> {
+    let Some(row) = doc.get("burst") else {
         failures.push(Failure {
-            what: "bench report has no sharded section".into(),
+            what: "bench report has no burst section".into(),
         });
         return None;
     };
     let k = row.get("k").and_then(|v| v.as_u64()).unwrap_or(0);
-    let mut speedup = |field: &str| -> f64 {
-        match row.get(field).and_then(|v| v.as_f64()) {
-            Some(s) => {
-                if s < 1.0 {
-                    failures.push(Failure {
-                        what: format!(
-                            "sharded k={k}: {field} {s:.2} < 1.0 (batched admission regressed)"
-                        ),
-                    });
-                }
-                s
-            }
-            None => {
+    let field = "speedup_batched_vs_sequential";
+    let speedup_batched = match row.get(field).and_then(|v| v.as_f64()) {
+        Some(s) => {
+            if s < 1.0 {
                 failures.push(Failure {
-                    what: format!("sharded k={k}: missing {field}"),
+                    what: format!(
+                        "burst k={k}: {field} {s:.2} < 1.0 (batched admission regressed)"
+                    ),
                 });
-                0.0
             }
+            s
+        }
+        None => {
+            failures.push(Failure {
+                what: format!("burst k={k}: missing {field}"),
+            });
+            0.0
         }
     };
-    let speedup_batched = speedup("speedup_batched_vs_sequential");
-    let speedup_sharded = speedup("speedup_sharded_vs_sequential");
     if row.get("schedules_identical").and_then(|v| v.as_bool()) != Some(true) {
         failures.push(Failure {
-            what: format!("sharded k={k}: schedules_identical is not true"),
+            what: format!("burst k={k}: schedules_identical is not true"),
         });
     }
-    Some(ShardedRow {
+    Some(BurstRow {
         k,
         speedup_batched,
-        speedup_sharded,
-        admissions_per_sec: row
-            .get("admissions_per_sec_batched")
+        flow_allocs_per_sec: row
+            .get("flow_allocs_per_sec_batched")
             .and_then(|v| v.as_f64())
             .unwrap_or(0.0),
     })
 }
 
-/// The shard-determinism gate: two runs of the identical sharded
-/// configuration must report the same schedule fingerprint.
+/// The determinism gate: two runs of the identical burst configuration
+/// must report the same schedule fingerprint.
 pub fn check_determinism(
     a: &serde_json::Value,
     b: &serde_json::Value,
     failures: &mut Vec<Failure>,
 ) {
     let fp = |doc: &serde_json::Value| {
-        doc.get("sharded")
+        doc.get("burst")
             .and_then(|s| s.get("schedule_fingerprint"))
             .and_then(|v| v.as_u64())
     };
@@ -220,11 +213,11 @@ pub fn check_determinism(
         (Some(x), Some(y)) if x == y => {}
         (Some(x), Some(y)) => failures.push(Failure {
             what: format!(
-                "shard determinism violated: fingerprints {x:#018x} vs {y:#018x} across reruns"
+                "burst determinism violated: fingerprints {x:#018x} vs {y:#018x} across reruns"
             ),
         }),
         _ => failures.push(Failure {
-            what: "sharded schedule_fingerprint missing from a rerun report".into(),
+            what: "burst schedule_fingerprint missing from a rerun report".into(),
         }),
     }
 }
@@ -329,9 +322,9 @@ mod tests {
         assert!(rows.is_empty());
     }
 
-    fn sharded_doc(batched: f64, sharded: f64, identical: bool, fp: u64) -> serde_json::Value {
+    fn burst_doc(batched: f64, identical: bool, fp: u64) -> serde_json::Value {
         serde_json::Value::Object(vec![(
-            "sharded".into(),
+            "burst".into(),
             serde_json::Value::Object(vec![
                 ("k".into(), serde_json::Value::UInt(32)),
                 (
@@ -339,11 +332,7 @@ mod tests {
                     serde_json::Value::Float(batched),
                 ),
                 (
-                    "speedup_sharded_vs_sequential".into(),
-                    serde_json::Value::Float(sharded),
-                ),
-                (
-                    "admissions_per_sec_batched".into(),
+                    "flow_allocs_per_sec_batched".into(),
                     serde_json::Value::Float(2.0e5),
                 ),
                 ("schedule_fingerprint".into(), serde_json::Value::UInt(fp)),
@@ -356,35 +345,35 @@ mod tests {
     }
 
     #[test]
-    fn healthy_sharded_row_passes() {
+    fn healthy_burst_row_passes() {
         let mut failures = Vec::new();
-        let row = check_sharded(&sharded_doc(9.5, 9.7, true, 7), &mut failures);
+        let row = check_burst(&burst_doc(9.5, true, 7), &mut failures);
         assert!(failures.is_empty(), "{}", failures[0].what);
         let row = row.expect("row parsed");
         assert_eq!(row.k, 32);
-        assert!(row.admissions_per_sec > 1.0e5);
+        assert!(row.flow_allocs_per_sec > 1.0e5);
     }
 
     #[test]
-    fn regressed_sharded_speedup_fails() {
+    fn regressed_burst_speedup_fails() {
         let mut failures = Vec::new();
-        check_sharded(&sharded_doc(9.5, 0.8, true, 7), &mut failures);
+        check_burst(&burst_doc(0.8, true, 7), &mut failures);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].what.contains("speedup_sharded_vs_sequential"));
+        assert!(failures[0].what.contains("speedup_batched_vs_sequential"));
     }
 
     #[test]
-    fn diverged_sharded_schedule_fails() {
+    fn diverged_burst_schedule_fails() {
         let mut failures = Vec::new();
-        check_sharded(&sharded_doc(9.5, 9.7, false, 7), &mut failures);
+        check_burst(&burst_doc(9.5, false, 7), &mut failures);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].what.contains("schedules_identical"));
     }
 
     #[test]
-    fn missing_sharded_section_fails() {
+    fn missing_burst_section_fails() {
         let mut failures = Vec::new();
-        assert!(check_sharded(&serde_json::Value::Object(Vec::new()), &mut failures).is_none());
+        assert!(check_burst(&serde_json::Value::Object(Vec::new()), &mut failures).is_none());
         assert_eq!(failures.len(), 1);
     }
 
@@ -392,8 +381,8 @@ mod tests {
     fn matching_fingerprints_pass_determinism() {
         let mut failures = Vec::new();
         check_determinism(
-            &sharded_doc(9.5, 9.7, true, 7),
-            &sharded_doc(9.5, 9.7, true, 7),
+            &burst_doc(9.5, true, 7),
+            &burst_doc(9.5, true, 7),
             &mut failures,
         );
         assert!(failures.is_empty());
@@ -403,11 +392,11 @@ mod tests {
     fn fingerprint_mismatch_fails_determinism() {
         let mut failures = Vec::new();
         check_determinism(
-            &sharded_doc(9.5, 9.7, true, 7),
-            &sharded_doc(9.5, 9.7, true, 8),
+            &burst_doc(9.5, true, 7),
+            &burst_doc(9.5, true, 8),
             &mut failures,
         );
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].what.contains("shard determinism violated"));
+        assert!(failures[0].what.contains("burst determinism violated"));
     }
 }

@@ -61,10 +61,11 @@ tasks:
                      the invariant validator, writes results/TRACE_*.jsonl
   bench-smoke        admission-latency regression gate: runs bench_admission with a
                      tiny config in release mode, fails if the fast or delta engine
-                     is slower than legacy (speedup_p50 < 1.0) at any k, if the
-                     sharded k=32 section is slower than per-task sequential
-                     admission, if any schedule diverged, or if a rerun of the
-                     sharded configuration changes the schedule fingerprint
+                     is slower than the reference loop (speedup_p50 < 1.0) at any
+                     k, if the k=32 burst section's batched admission is slower
+                     than per-task sequential admission, if any schedule
+                     diverged, or if a rerun of the burst configuration changes
+                     the schedule fingerprint
   soak [--small]     deterministic live-service soak gate (DESIGN.md §15): two
                      seeds, paper-scale k=16 fat-tree, overload burst phase;
                      asserts zero invariant violations, byte-identical double
@@ -176,18 +177,18 @@ fn trace() -> ExitCode {
 
 fn bench_smoke() -> ExitCode {
     let root = workspace_root();
-    let (rows, sharded, failures) = xtask::bench_smoke::run(&root);
+    let (rows, burst, failures) = xtask::bench_smoke::run(&root);
     for r in &rows {
         println!(
             "xtask bench-smoke: k={} fast {:.1}x, delta {:.1}x over legacy p50",
             r.k, r.speedup_p50, r.speedup_p50_delta
         );
     }
-    if let Some(s) = &sharded {
+    if let Some(b) = &burst {
         println!(
-            "xtask bench-smoke: k={} sharded batched {:.1}x, sharded {:.1}x over per-task \
-             sequential, {:.0} admissions/s",
-            s.k, s.speedup_batched, s.speedup_sharded, s.admissions_per_sec
+            "xtask bench-smoke: k={} burst batched {:.1}x over per-task sequential, \
+             {:.0} flow allocs/s",
+            b.k, b.speedup_batched, b.flow_allocs_per_sec
         );
     }
     if failures.is_empty() {
